@@ -10,9 +10,7 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, DimensionError, DireError, FormatError,
                      NumericalError, ParameterError, TrainingError)
-from .matrix import (Rng, as_matrix, col_mean, col_var, mat_add, mat_scale,
-                     matmul, rng_normal, row_l2_normalize, row_mean, row_var,
-                     transpose)
+from .matrix import Rng, as_matrix, rng_normal, row_l2_normalize
 from .kernels import (BenchReport, bench_kernels, knn_distances,
                       pairwise_cosine_matrix, pairwise_cosine_matrix_naive,
                       pairwise_cosine_sum, pairwise_euclidean_matrix,
@@ -28,13 +26,13 @@ from .teacher import (LabeledDataset, SoftLabels, TeacherModel,
                       evaluate_student, extract_features, extract_features_vjp,
                       gen_mixture, model_accuracy, relabel, softmax,
                       squeeze_train, teacher_logits)
-from .synthesis import (AblationReport, RunConfig, SyntheticDataset,
-                        SynthesisLoss, ablate, evaluate_synthetic, recover,
+from .synthesis import (RunConfig, SyntheticDataset, SynthesisLoss, recover,
                         total_loss_and_grad)
 from .fileio import (ExperimentManifest, digest_file, dump_config, fnv1a64,
                      load_config, read_emb, read_labels, read_manifest,
                      read_teacher, write_emb, write_labels, write_manifest,
                      write_teacher)
-from .pipeline import (DEFAULT_BENCHMARK, ComparisonReport, SweepReport,
-                       directional_comparison, make_benchmark, run_arm,
+from .pipeline import (DEFAULT_BENCHMARK, AblationReport, ComparisonReport,
+                       SweepReport, ablate, directional_comparison,
+                       evaluate_synthetic, make_benchmark, run_arm,
                        weight_sweep)

@@ -24,8 +24,8 @@ from .fileio import (ExperimentManifest, StageTimer, load_config, read_emb,
 from .kernels import bench_kernels, bench_to_csv
 from .embeddings import EmbeddingSet
 from .metrics import metrics_report
-from .pipeline import weight_sweep
-from .synthesis import RunConfig, ablate, recover, trace_to_csv
+from .pipeline import ablate, weight_sweep
+from .synthesis import RunConfig, recover, trace_to_csv
 from .teacher import (LabeledDataset, SoftLabels, evaluate_student,
                       extract_features, gen_mixture, relabel, squeeze_train)
 

@@ -55,11 +55,6 @@ class EmbeddingSet:
         """All embeddings stacked in class order."""
         return np.vstack([self.by_class[c] for c in self.classes()])
 
-    def pooled_labels(self) -> np.ndarray:
-        return np.concatenate([
-            np.full(self.by_class[c].shape[0], c, dtype=np.int64)
-            for c in self.classes()])
-
     def total(self) -> int:
         return sum(m.shape[0] for m in self.by_class.values())
 

@@ -98,9 +98,8 @@ def pairwise_cosine_matrix_naive(a, b, eps: float = COSINE_EPS):
     b_rows = list(b)
     out = np.empty((a.shape[0], b.shape[0]))
     for i in range(a.shape[0]):
-        ai, nai, row = a[i], na[i], out[i]
-        for j, bj in enumerate(b_rows):
-            row[j] = dot(ai, bj) / max(nai * nb[j], eps)
+        out[i] = list(map(a[i].dot, b_rows))
+        out[i] /= np.maximum(na[i] * nb, eps)
     return out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, ParameterError
+from .errors import DimensionError, ParameterError
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -18,12 +18,6 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     m = np.ascontiguousarray(x, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionError(f"{name}: expected 2-D array, got ndim={m.ndim}")
-    return m
-
-
-def require_finite(m: np.ndarray, context: str) -> np.ndarray:
-    if not np.all(np.isfinite(m)):
-        raise NumericalError(f"{context}: non-finite entries")
     return m
 
 
@@ -68,42 +62,3 @@ def row_l2_normalize(m, eps: float = 1e-12) -> np.ndarray:
     m = as_matrix(m)
     norms = np.sqrt(np.einsum("ij,ij->i", m, m))
     return m / np.maximum(norms, eps)[:, None]
-
-
-def mat_add(a, b) -> np.ndarray:
-    a, b = as_matrix(a, "a"), as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise DimensionError(f"mat_add: shape mismatch {a.shape} vs {b.shape}")
-    return a + b
-
-
-def mat_scale(a, c: float) -> np.ndarray:
-    return as_matrix(a) * float(c)
-
-
-def matmul(a, b) -> np.ndarray:
-    a, b = as_matrix(a, "a"), as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
-    return a @ b
-
-
-def transpose(a) -> np.ndarray:
-    return np.ascontiguousarray(as_matrix(a).T)
-
-
-def row_mean(a) -> np.ndarray:
-    return as_matrix(a).mean(axis=1)
-
-
-def col_mean(a) -> np.ndarray:
-    return as_matrix(a).mean(axis=0)
-
-
-def row_var(a) -> np.ndarray:
-    return as_matrix(a).var(axis=1)
-
-
-def col_var(a) -> np.ndarray:
-    """Population (ddof=0) variance per column."""
-    return as_matrix(a).var(axis=0)

@@ -36,8 +36,14 @@ def coverage(real_emb, syn_emb, k: int = 5) -> float:
     if syn_emb.shape[0] < 1:
         raise ParameterError("coverage: need at least one synthetic embedding")
     radii = knn_distances(real_emb, k)  # validates 1 <= k <= N-1
-    cross = pairwise_euclidean_matrix(real_emb, syn_emb)
-    nearest_syn = cross.min(axis=1)
+    return covered_fraction(real_emb, radii, syn_emb)
+
+
+def covered_fraction(real_emb, radii, syn_emb) -> float:
+    """`coverage` against radii the caller computed once with
+    `knn_distances(real_emb, k)`, so every synthetic set scored against the
+    same real set shares one k-NN pass."""
+    nearest_syn = pairwise_euclidean_matrix(real_emb, syn_emb).min(axis=1)
     return float(np.mean(nearest_syn <= radii))
 
 
@@ -180,18 +186,25 @@ def metrics_report(real: EmbeddingSet, syn: EmbeddingSet, k: int = 5,
     geometry once classes are well separated. Intra-class cosine is
     per-class by construction.
     """
-    if real.classes() != syn.classes():
-        raise ParameterError(
-            f"metrics_report: class sets differ, {real.classes()} vs {syn.classes()}")
+    _require_same_classes(real, syn)
     for name, scope in (("coverage_scope", coverage_scope), ("vendi_scope", vendi_scope)):
         if scope not in ("pooled", "per_class"):
             raise ParameterError(f"metrics_report: {name} must be 'pooled' or "
                                  f"'per_class', got {scope!r}")
-    per_class, mean_cos = intra_class_cosine(syn)
     if coverage_scope == "pooled":
         cov = coverage(real.pooled(), syn.pooled(), k)
     else:
         cov = float(np.mean([coverage(real[c], syn[c], k) for c in real.classes()]))
+    return report_with_coverage(real, syn, cov, k, vendi_scope)
+
+
+def report_with_coverage(real: EmbeddingSet, syn: EmbeddingSet, cov: float,
+                         k: int = 5, vendi_scope: str = "per_class") -> MetricsReport:
+    """`metrics_report` around a coverage value the caller already has, for
+    example from `covered_fraction` against shared radii. Intra-class cosine
+    and Vendi depend on the synthetic side alone."""
+    _require_same_classes(real, syn)
+    per_class, mean_cos = intra_class_cosine(syn)
     if vendi_scope == "pooled":
         ven = vendi_score(syn.pooled())
     else:
@@ -200,3 +213,9 @@ def metrics_report(real: EmbeddingSet, syn: EmbeddingSet, k: int = 5,
         coverage=cov, vendi=ven, mean_intra_class_cosine=mean_cos,
         per_class_cosine={c: float(v) for c, v in zip(syn.classes(), per_class)},
         k_used=k, n_real=real.total(), n_syn=syn.total())
+
+
+def _require_same_classes(real: EmbeddingSet, syn: EmbeddingSet):
+    if real.classes() != syn.classes():
+        raise ParameterError(
+            f"metrics_report: class sets differ, {real.classes()} vs {syn.classes()}")

@@ -24,10 +24,8 @@ from .embeddings import EmbeddingSet
 from .errors import ConfigError, NumericalError, ParameterError
 from .losses import ALL_COMPONENTS, DireWeights, dire_loss
 from .matrix import Rng, rng_normal
-from .metrics import metrics_report
 from .teacher import (LabeledDataset, TeacherModel, _cross_entropy_and_dlogits,
-                      evaluate_student, extract_features, forward_activations,
-                      input_gradient, relabel)
+                      extract_features, forward_activations, input_gradient)
 
 
 @dataclass
@@ -88,14 +86,25 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
+        """Build from parsed JSON, rejecting unknown keys and mistyped values
+        with a ConfigError that names the key."""
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        unknown = set(raw) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
-        kwargs = dict(raw)
-        if "components" in kwargs:
-            kwargs["components"] = tuple(kwargs["components"])
-        return cls(**kwargs)
+        for key, value in raw.items():
+            kind = type(defaults[key])
+            if key == "components":
+                ok = isinstance(value, list) and all(isinstance(c, str) for c in value)
+            elif kind is bool or isinstance(value, bool):  # bools are not numbers
+                ok = kind is bool and isinstance(value, bool)
+            else:
+                ok = ((key == "real_cap" and value is None)
+                      or isinstance(value, (int, float) if kind is float else kind))
+            if not ok:
+                want = "a list of strings" if key == "components" else kind.__name__
+                raise ConfigError(f"{key} must be {want}, got {value!r}")
+        return cls(**raw)
 
 
 @dataclass
@@ -218,93 +227,3 @@ def recover(teacher: TeacherModel, real_train: LabeledDataset,
         trace.append(loss)
     return SyntheticDataset(points=points, labels=labels, soft_labels=None,
                             iterations=cfg.iters, final_loss=loss, trace=trace)
-
-
-DEFAULT_MASKS = (("cd",), ("cdm",), ("edm",), ("cd", "cdm"), ("cd", "edm"),
-                 ("cdm", "edm"), ("cd", "cdm", "edm"))
-
-ABLATION_CSV_HEADER = ("mask,coverage,similarity,vendi,accuracy,"
-                       "norm_coverage,norm_similarity,norm_vendi")
-
-
-@dataclass
-class AblationRow:
-    mask: tuple
-    coverage: float
-    similarity: float
-    vendi: float
-    accuracy: float
-    norm_coverage: float = 0.0
-    norm_similarity: float = 0.0
-    norm_vendi: float = 0.0
-
-
-@dataclass
-class AblationReport:
-    rows: list
-
-    def to_csv(self) -> str:
-        lines = [ABLATION_CSV_HEADER]
-        for r in self.rows:
-            lines.append(f"{'+'.join(r.mask)},{r.coverage:.9g},{r.similarity:.9g},"
-                         f"{r.vendi:.9g},{r.accuracy:.9g},{r.norm_coverage:.6g},"
-                         f"{r.norm_similarity:.6g},{r.norm_vendi:.6g}")
-        return "\n".join(lines) + "\n"
-
-
-def _minmax(values: np.ndarray) -> np.ndarray:
-    lo, hi = values.min(), values.max()
-    if hi == lo:
-        return np.zeros_like(values)
-    return (values - lo) / (hi - lo)
-
-
-def evaluate_synthetic(teacher: TeacherModel, real_train: LabeledDataset,
-                       real_test: LabeledDataset, syn: SyntheticDataset,
-                       k: int = 5, student_hidden=(32,), student_epochs: int = 60,
-                       student_lr: float = 0.1, student_seed: int = 0,
-                       extractor: TeacherModel | None = None):
-    """Metrics + student accuracy for one synthetic dataset.
-
-    `extractor` overrides the embedding model for the metrics (the student
-    is always trained on raw points); default is the teacher itself.
-    """
-    emb_model = extractor if extractor is not None else teacher
-    e_real = EmbeddingSet.from_labeled(extract_features(emb_model, real_train.points),
-                                       real_train.labels)
-    e_syn = EmbeddingSet.from_labeled(extract_features(emb_model, syn.points),
-                                      syn.labels)
-    report = metrics_report(e_real, e_syn, k=k)
-    soft = syn.soft_labels if syn.soft_labels is not None else relabel(teacher, syn)
-    acc = evaluate_student(syn.points, soft, real_test, hidden_sizes=student_hidden,
-                           epochs=student_epochs, lr=student_lr, seed=student_seed)
-    return report, acc
-
-
-def ablate(teacher: TeacherModel, real_train: LabeledDataset,
-           real_test: LabeledDataset, cfg: RunConfig, masks=DEFAULT_MASKS,
-           k: int = 5, student_hidden=(32,), student_epochs: int = 60,
-           student_lr: float = 0.1) -> AblationReport:
-    """Run recover once per component mask under shared seeds and report raw
-    plus min-max-normalized diversity metrics with student accuracy."""
-    if not masks:
-        raise ParameterError("ablate: need at least one mask")
-    rows = []
-    for mask in masks:
-        run_cfg = dataclasses.replace(cfg, components=tuple(mask))
-        syn = recover(teacher, real_train, run_cfg)
-        syn.soft_labels = relabel(teacher, syn, cfg.temperature)
-        report, acc = evaluate_synthetic(
-            teacher, real_train, real_test, syn, k=k, student_hidden=student_hidden,
-            student_epochs=student_epochs, student_lr=student_lr, student_seed=cfg.seed)
-        rows.append(AblationRow(mask=tuple(mask), coverage=report.coverage,
-                                similarity=report.mean_intra_class_cosine,
-                                vendi=report.vendi, accuracy=acc))
-    cov = _minmax(np.array([r.coverage for r in rows]))
-    sim = _minmax(np.array([r.similarity for r in rows]))
-    ven = _minmax(np.array([r.vendi for r in rows]))
-    for i, r in enumerate(rows):
-        r.norm_coverage = float(cov[i])
-        r.norm_similarity = float(sim[i])
-        r.norm_vendi = float(ven[i])
-    return AblationReport(rows=rows)

@@ -35,6 +35,15 @@ class TestUsageErrors:
         assert code == 1
         assert "error" in err
 
+    def test_mistyped_config_is_one_line_domain_error(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"ipc": "10"}')
+        code, _, err = run_cli(capsys, "recover", "--teacher", str(tmp_path / "t.ckpt"),
+                               "--data", str(tmp_path / "d"), "--config", str(cfg_path),
+                               "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert err.count("\n") == 1 and "ipc" in err
+
 
 class TestMetricsCommand:
     def test_json_on_stdout_and_csv_append(self, capsys, tmp_path):

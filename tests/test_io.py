@@ -131,6 +131,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
 
+    @pytest.mark.parametrize("raw, key", [
+        ('{"ipc": "10"}', "ipc"),
+        ('{"ipc": 10.0}', "ipc"),
+        ('{"iters": true}', "iters"),
+        ('{"real_cap": 2.5}', "real_cap"),
+        ('{"seed": "0"}', "seed"),
+        ('{"lr": "0.1"}', "lr"),
+        ('{"include_diagonal_cd": 1}', "include_diagonal_cd"),
+        ('{"components": "cd"}', "components"),
+        ('{"components": ["cd", 3]}', "components"),
+    ])
+    def test_mistyped_value_rejected_naming_key(self, tmp_path, raw, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(raw)
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
+    def test_json_numbers_and_null_accepted(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"lr": 1, "real_cap": null, "components": ["cd"]}')
+        cfg = load_config(path)
+        assert cfg.lr == 1 and cfg.real_cap is None and cfg.components == ("cd",)
+
     def test_dump_load_idempotent(self, tmp_path):
         cfg = RunConfig(ipc=7, r_c=2.5, components=("cdm", "edm"), real_cap=None)
         path = tmp_path / "cfg.json"

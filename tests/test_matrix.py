@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from dire import (DimensionError, ParameterError, Rng, col_mean, col_var,
-                  mat_add, mat_scale, matmul, rng_normal, row_l2_normalize,
-                  row_mean, transpose)
+from dire import DimensionError, ParameterError, Rng, rng_normal, row_l2_normalize
 
 
 class TestRng:
@@ -65,46 +63,3 @@ class TestRowNormalize:
     def test_eps_must_be_positive(self):
         with pytest.raises(ParameterError):
             row_l2_normalize(np.eye(2), eps=0.0)
-
-
-class TestMatOps:
-    def test_identity_matmul(self):
-        m = rng_normal(Rng(1), 2, 4)
-        assert np.array_equal(matmul(np.eye(2), m), m)
-
-    def test_col_mean(self):
-        np.testing.assert_allclose(col_mean([[1.0, 3.0], [3.0, 5.0]]), [2.0, 4.0])
-
-    def test_transpose_of_product(self):
-        a = rng_normal(Rng(2), 3, 4)
-        b = rng_normal(Rng(3), 4, 2)
-        np.testing.assert_allclose(transpose(matmul(a, b)),
-                                   matmul(transpose(b), transpose(a)), atol=1e-12)
-
-    def test_matmul_associativity(self):
-        for seed in range(5):
-            r = Rng(seed)
-            a = rng_normal(r.split(0), 6, 5)
-            b = rng_normal(r.split(1), 5, 7)
-            c = rng_normal(r.split(2), 7, 4)
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            rel = np.abs(left - right) / np.maximum(np.abs(left), 1.0)
-            assert rel.max() < 1e-10
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            matmul(np.eye(2), np.eye(3))
-        with pytest.raises(DimensionError):
-            mat_add(np.eye(2), np.eye(3))
-
-    def test_scale_and_means(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(mat_scale(m, 2.0), 2 * m)
-        np.testing.assert_allclose(row_mean(m), [1.5, 3.5])
-        np.testing.assert_allclose(col_var(m), [1.0, 1.0])
-
-    def test_repeated_calls_bitwise_identical(self):
-        a = rng_normal(Rng(9), 8, 8)
-        b = rng_normal(Rng(10), 8, 8)
-        assert np.array_equal(matmul(a, b), matmul(a, b))

@@ -209,6 +209,25 @@ class TestAblate:
         assert row.vendi == rep.vendi
         assert row.accuracy == acc
 
+    def test_real_side_radii_computed_once(self, small_world, monkeypatch):
+        import dire.kernels
+        import dire.metrics
+        import dire.pipeline
+        calls = []
+        knn = dire.kernels.knn_distances
+
+        def counting_knn(*args, **kwargs):
+            calls.append(1)
+            return knn(*args, **kwargs)
+        for mod in (dire.kernels, dire.metrics, dire.pipeline):
+            if hasattr(mod, "knn_distances"):
+                monkeypatch.setattr(mod, "knn_distances", counting_knn)
+        train, test, teacher, _ = small_world
+        report = ablate(teacher, train, test, small_cfg(iters=5), k=3,
+                        student_hidden=(8,), student_epochs=2)
+        assert len(report.rows) == 7
+        assert len(calls) == 1
+
     def test_empty_masks_rejected(self, small_world):
         train, test, teacher, _ = small_world
         with pytest.raises(Exception):
