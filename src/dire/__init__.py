@@ -12,7 +12,8 @@ from .errors import (ConfigError, DimensionError, DireError, FormatError,
                      NumericalError, ParameterError, TrainingError)
 from .matrix import Rng, as_matrix, rng_normal, row_l2_normalize
 from .kernels import (BenchReport, bench_kernels, knn_distances,
-                      pairwise_cosine_matrix, pairwise_cosine_matrix_naive,
+                      nearest_distances, pairwise_cosine_matrix,
+                      pairwise_cosine_matrix_naive,
                       pairwise_cosine_sum, pairwise_euclidean_matrix,
                       pairwise_euclidean_matrix_naive, pairwise_euclidean_sum,
                       worker_count)

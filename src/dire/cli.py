@@ -30,8 +30,18 @@ from .teacher import (LabeledDataset, SoftLabels, evaluate_student,
                       extract_features, gen_mixture, relabel, squeeze_train)
 
 
-def _parse_hidden(text: str) -> tuple:
-    return tuple(int(s) for s in text.split(",") if s)
+def _parse_ints(items, flag: str) -> tuple:
+    out = []
+    for s in items:
+        try:
+            out.append(int(s))
+        except ValueError:
+            raise DireError(f"{flag}: expected an integer, got {s!r}") from None
+    return tuple(out)
+
+
+def _parse_hidden(text: str, flag: str) -> tuple:
+    return _parse_ints((s for s in text.split(",") if s), flag)
 
 
 def _parse_components(text: str) -> tuple:
@@ -88,12 +98,13 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_squeeze(args) -> int:
+    hidden = _parse_hidden(args.hidden, "--hidden")
     manifest = _manifest_for(args, "squeeze")
     with StageTimer(manifest):
         train = _load_split(args.data, "train")
         for p in _data_paths(args.data, "train"):
             manifest.record_input(p)
-        model = squeeze_train(train, hidden_sizes=_parse_hidden(args.hidden),
+        model = squeeze_train(train, hidden_sizes=hidden,
                               epochs=args.epochs, lr=args.lr, seed=args.seed,
                               batch_size=args.batch_size)
         write_teacher(args.out, model)
@@ -159,6 +170,7 @@ def cmd_relabel(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    hidden = _parse_hidden(args.hidden, "--hidden")
     manifest = _manifest_for(args, "evaluate")
     with StageTimer(manifest):
         points = read_emb(args.points)
@@ -175,7 +187,7 @@ def cmd_evaluate(args) -> int:
         for p in _data_paths(args.data, "test"):
             manifest.record_input(p)
         acc = evaluate_student(points, labels, test,
-                               hidden_sizes=_parse_hidden(args.hidden),
+                               hidden_sizes=hidden,
                                epochs=args.epochs, lr=args.lr, seed=args.seed)
     out = {"accuracy": acc, "n_train": int(points.shape[0]), "n_test": len(test)}
     if args.out:
@@ -207,6 +219,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    student_hidden = _parse_hidden(args.student_hidden, "--student-hidden")
     cfg = _config_from_args(args)
     manifest = _manifest_for(args, "ablate")
     manifest.config = cfg.to_dict()
@@ -219,7 +232,7 @@ def cmd_ablate(args) -> int:
             for p in _data_paths(args.data, split):
                 manifest.record_input(p)
         report = ablate(model, train, test, cfg, k=args.k,
-                        student_hidden=_parse_hidden(args.student_hidden),
+                        student_hidden=student_hidden,
                         student_epochs=args.student_epochs,
                         student_lr=args.student_lr)
         out_csv = f"{args.out}.ablation.csv"
@@ -236,7 +249,7 @@ def cmd_bench(args) -> int:
         dims = part.lower().split("x")
         if len(dims) != 3:
             raise DireError(f"bench: bad shape {part!r}, expected NxMxD")
-        shapes.append(tuple(int(v) for v in dims))
+        shapes.append(_parse_ints(dims, "--shapes"))
     kernels = _parse_components(args.kernels)
     manifest = _manifest_for(args, "bench")
     with StageTimer(manifest):
@@ -255,7 +268,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    seeds = tuple(int(s) for s in args.seeds.split(","))
+    seeds = _parse_ints(args.seeds.split(","), "--seeds")
     manifest = _manifest_for(args, "sweep")
     with StageTimer(manifest):
         report = weight_sweep(seeds=seeds)

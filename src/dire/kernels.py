@@ -4,7 +4,9 @@ The naive implementations walk row pairs in Python and exist as the
 benchmark baseline and as a cross-check; the fast variants compute the same
 values through blocked BLAS matmuls with precomputed norms, optionally
 fanning row blocks out to a thread pool. Reductions always accumulate in
-fixed block order, so results do not depend on the worker count.
+fixed block order, so results do not depend on the worker count. The k-NN
+and nearest-neighbour distances stream the same row blocks and keep only a
+per-row result, so their memory is O(ROW_BLOCK * N), never N x N.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, NumericalError, ParameterError
 from .matrix import as_matrix, Rng, rng_normal
 
 COSINE_EPS = 1e-12
@@ -46,12 +48,30 @@ def _check_pair(a, b):
     return a, b
 
 
+def _sq_norms(m: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", m, m)
+
+
 def _row_norms(m: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", m, m))
+    return np.sqrt(_sq_norms(m))
 
 
 def _blocks(n: int, block: int):
     return [(s, min(s + block, n)) for s in range(0, n, block)]
+
+
+def _euclid_rows(a_rows, bt, na2_rows, nb2):
+    """Distance rows |a_i - b_j| of one row block from the |a|^2 + |b|^2 -
+    2<a,b> expansion, negative radicands clamped to 0. Every blocked
+    Euclidean kernel goes through this one sequence on the same row blocks,
+    so they agree bit for bit."""
+    g = a_rows @ bt
+    g *= -2.0
+    g += na2_rows[:, None]
+    g += nb2[None, :]
+    np.maximum(g, 0.0, out=g)
+    np.sqrt(g, out=g)
+    return g
 
 
 def _map_blocks(fn, spans, workers):
@@ -133,18 +153,13 @@ def pairwise_euclidean_matrix(a, b, block: int = ROW_BLOCK,
     both sides pins the diagonal to exactly 0."""
     a, b = _check_pair(a, b)
     same = a is b
-    na2 = np.einsum("ij,ij->i", a, a)
-    nb2 = na2 if same else np.einsum("ij,ij->i", b, b)
+    na2 = _sq_norms(a)
+    nb2 = na2 if same else _sq_norms(b)
     out = np.empty((a.shape[0], b.shape[0]))
     bt = b.T.copy()
 
     def one_block(lo, hi):
-        g = a[lo:hi] @ bt
-        g *= -2.0
-        g += na2[lo:hi, None]
-        g += nb2[None, :]
-        np.maximum(g, 0.0, out=g)
-        np.sqrt(g, out=g)
+        g = _euclid_rows(a[lo:hi], bt, na2[lo:hi], nb2)
         if same:
             for i in range(lo, hi):
                 g[i - lo, i] = 0.0
@@ -173,17 +188,12 @@ def pairwise_euclidean_sum(a, b, reduction: str = "sum",
                            block: int = ROW_BLOCK) -> float:
     a, b = _check_pair(a, b)
     same = a is b
-    na2 = np.einsum("ij,ij->i", a, a)
-    nb2 = na2 if same else np.einsum("ij,ij->i", b, b)
+    na2 = _sq_norms(a)
+    nb2 = na2 if same else _sq_norms(b)
     bt = b.T.copy()
     total = 0.0
     for lo, hi in _blocks(a.shape[0], block):
-        g = a[lo:hi] @ bt
-        g *= -2.0
-        g += na2[lo:hi, None]
-        g += nb2[None, :]
-        np.maximum(g, 0.0, out=g)
-        np.sqrt(g, out=g)
+        g = _euclid_rows(a[lo:hi], bt, na2[lo:hi], nb2)
         if same:
             for i in range(lo, hi):
                 g[i - lo, i] = 0.0
@@ -191,19 +201,53 @@ def pairwise_euclidean_sum(a, b, reduction: str = "sum",
     return _reduce(total, a.shape[0] * b.shape[0], reduction)
 
 
+def _require_finite(m: np.ndarray, what: str):
+    if not np.all(np.isfinite(m)):
+        raise NumericalError(f"{what} has non-finite values")
+
+
 def knn_distances(x, k: int) -> np.ndarray:
     """Distance from each row of X to its k-th nearest other row.
 
     Self-distances are excluded. Ties in distance do not affect the k-th
-    order statistic, so plain partial selection is exact.
+    order statistic, so plain partial selection is exact. Row blocks are
+    selected as they are formed, so the values equal a selection over
+    `pairwise_euclidean_matrix(x, x)` bit for bit without its N x N memory.
     """
     x = as_matrix(x, "X")
     n = x.shape[0]
     if not 1 <= k <= n - 1:
         raise ParameterError(f"knn_distances: need 1 <= k <= {n - 1}, got k={k}")
-    d = pairwise_euclidean_matrix(x, x)
-    np.fill_diagonal(d, np.inf)
-    return np.partition(d, k - 1, axis=1)[:, k - 1]
+    _require_finite(x, "knn_distances: X")
+    n2 = _sq_norms(x)
+    xt = x.T.copy()
+    out = np.empty(n)
+    for lo, hi in _blocks(n, ROW_BLOCK):
+        d = _euclid_rows(x[lo:hi], xt, n2[lo:hi], n2)
+        d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        d.partition(k - 1, axis=1)
+        out[lo:hi] = d[:, k - 1]
+        del d  # free this block before the next one is formed
+    return out
+
+
+def nearest_distances(a, b) -> np.ndarray:
+    """Distance from each row of A to its nearest row of B, equal to
+    `pairwise_euclidean_matrix(a, b).min(axis=1)` bit for bit, streamed in
+    row blocks so memory is O(ROW_BLOCK * M)."""
+    a, b = _check_pair(a, b)
+    if b.shape[0] < 1:
+        raise ParameterError("nearest_distances: B has no rows")
+    _require_finite(a, "nearest_distances: A")
+    _require_finite(b, "nearest_distances: B")
+    if a is b:  # the matrix kernel pins this diagonal to 0
+        return np.zeros(a.shape[0])
+    na2, nb2 = _sq_norms(a), _sq_norms(b)
+    bt = b.T.copy()
+    out = np.empty(a.shape[0])
+    for lo, hi in _blocks(a.shape[0], ROW_BLOCK):
+        out[lo:hi] = _euclid_rows(a[lo:hi], bt, na2[lo:hi], nb2).min(axis=1)
+    return out
 
 
 @dataclass

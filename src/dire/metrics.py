@@ -2,15 +2,17 @@
 
 Coverage asks what fraction of real points have at least one synthetic
 point inside their k-th-nearest-neighbor ball (closed, so a synthetic copy
-of a real point always counts). The Vendi score is the exponential of the
-Shannon entropy of the eigenvalues of the n-normalized cosine similarity
+of a real point always counts). Both distance passes stream row blocks, so
+coverage never holds an N x N matrix. The Vendi score is the exponential of
+the Shannon entropy of the eigenvalues of the n-normalized cosine similarity
 matrix, an effective count of distinct samples in [1, n]. Intra-class
 cosine is the mean off-diagonal pairwise cosine within each class; lower
 means more diverse.
 
-The eigensolver is a cyclic Jacobi iteration written here on purpose: the
-test suite checks it against an entirely separate dense solver, so the
-Vendi numbers are covered by two independent routes.
+Vendi runs LAPACK's `eigvalsh` on the min(n, D) side: the nonzero spectrum
+of U U^T / n equals that of U^T U / n for the unit rows U. The cyclic Jacobi
+solver below is not on that path; it stays as an independent oracle that
+the tests check Vendi against.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet
 from .errors import DimensionError, NumericalError, ParameterError
-from .kernels import knn_distances, pairwise_cosine_matrix, pairwise_euclidean_matrix
+from .kernels import knn_distances, nearest_distances, pairwise_cosine_matrix
 from .matrix import as_matrix, row_l2_normalize
 
 
@@ -43,8 +45,7 @@ def covered_fraction(real_emb, radii, syn_emb) -> float:
     """`coverage` against radii the caller computed once with
     `knn_distances(real_emb, k)`, so every synthetic set scored against the
     same real set shares one k-NN pass."""
-    nearest_syn = pairwise_euclidean_matrix(real_emb, syn_emb).min(axis=1)
-    return float(np.mean(nearest_syn <= radii))
+    return float(np.mean(nearest_distances(real_emb, syn_emb) <= radii))
 
 
 def _jacobi(s: np.ndarray, max_sweeps: int = 100, tol: float = 1e-12):
@@ -113,17 +114,20 @@ def vendi_score(emb) -> float:
     """exp(Shannon entropy) of the eigenvalues of K/n, where K is the
     pairwise cosine matrix of the row-normalized embeddings.
 
-    Eigenvalues are clamped at 0 and renormalized to sum 1 before the
-    entropy, absorbing solver round-off. n identical rows give 1.0; n
-    mutually orthogonal rows give n.
+    The eigenvalues come from the min(n, D)-sided Gram matrix of the unit
+    rows, which shares K/n's nonzero spectrum. They are clamped at 0 and
+    renormalized to sum 1 before the entropy, absorbing solver round-off.
+    n identical rows give 1.0; n mutually orthogonal rows give n.
     """
     emb = as_matrix(emb, "embeddings")
-    n = emb.shape[0]
+    n, dim = emb.shape
     if n < 1:
         raise ParameterError("vendi_score: need at least one embedding")
+    if not np.all(np.isfinite(emb)):
+        raise NumericalError("vendi_score: embeddings have non-finite values")
     unit = row_l2_normalize(emb)
-    kernel = pairwise_cosine_matrix(unit, unit)
-    lam = sym_eigenvalues(kernel / n)
+    gram = unit @ unit.T if n <= dim else unit.T @ unit
+    lam = np.linalg.eigvalsh(gram / n)
     lam = np.maximum(lam, 0.0)
     total = lam.sum()
     if total <= 0.0:

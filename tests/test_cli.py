@@ -5,7 +5,7 @@ import pytest
 
 from dire import Rng, read_emb, read_labels, rng_normal, write_emb, write_labels
 from dire.cli import main
-from dire.fileio import digest_file, read_manifest
+from dire.fileio import EMB_HEADER, digest_file, read_manifest
 
 
 def run_cli(capsys, *argv):
@@ -43,6 +43,36 @@ class TestUsageErrors:
                                "--out", str(tmp_path / "run"))
         assert code == 1
         assert err.count("\n") == 1 and "ipc" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("sweep", "--seeds", "0,a", "--out", "{tmp}/s"), "--seeds"),
+        (("bench", "--shapes", "4x4xa"), "--shapes"),
+        (("squeeze", "--data", "{tmp}/d", "--hidden", "16,x", "--out", "{tmp}/t"),
+         "--hidden"),
+        (("evaluate", "--points", "{tmp}/p.emb", "--data", "{tmp}/d", "--hidden", "1.5"),
+         "--hidden"),
+        (("ablate", "--teacher", "{tmp}/t", "--data", "{tmp}/d", "--out", "{tmp}/a",
+          "--student-hidden", "eight"), "--student-hidden"),
+    ])
+    def test_non_integer_list_is_one_line_domain_error(self, capsys, tmp_path, argv, flag):
+        code, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("dire: error:") and flag in err
+
+    def test_non_finite_embedding_is_one_line_domain_error(self, capsys, tmp_path):
+        real = rng_normal(Rng(3), 20, 4)
+        nan_emb = tmp_path / "syn.emb"  # by hand: write_emb refuses non-finite values
+        payload = np.full((4, 4), np.nan)
+        nan_emb.write_bytes(EMB_HEADER.pack(b"EMB1", 1, 4, 4) + payload.astype("<f8").tobytes())
+        write_emb(tmp_path / "real.emb", real)
+        write_labels(tmp_path / "real.csv", np.repeat([0, 1], 10))
+        write_labels(tmp_path / "syn.csv", [0, 0, 1, 1])
+        code, out, err = run_cli(capsys, "metrics", "--real", str(tmp_path / "real.emb"),
+                                 "--syn", str(nan_emb),
+                                 "--labels-real", str(tmp_path / "real.csv"),
+                                 "--labels-syn", str(tmp_path / "syn.csv"))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "non-finite" in err
 
 
 class TestMetricsCommand:

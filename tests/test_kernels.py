@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dire import (DimensionError, ParameterError, Rng, bench_kernels,
-                  knn_distances, pairwise_cosine_matrix,
-                  pairwise_cosine_matrix_naive, pairwise_cosine_sum,
-                  pairwise_euclidean_matrix, pairwise_euclidean_matrix_naive,
-                  pairwise_euclidean_sum, rng_normal)
+from dire import (DimensionError, NumericalError, ParameterError, Rng,
+                  bench_kernels, coverage, knn_distances, nearest_distances,
+                  pairwise_cosine_matrix, pairwise_cosine_matrix_naive,
+                  pairwise_cosine_sum, pairwise_euclidean_matrix,
+                  pairwise_euclidean_matrix_naive, pairwise_euclidean_sum,
+                  rng_normal)
+from dire.kernels import ROW_BLOCK
 
 
 # Pure-Python triple-loop oracles, independent of any numpy vectorization.
@@ -151,6 +154,67 @@ class TestKnnDistances:
         for k in (0, 5, 6):
             with pytest.raises(ParameterError):
                 knn_distances(x, k)
+
+
+def full_matrix_knn(x, k):
+    """k-NN radii from the whole N x N distance matrix."""
+    d = pairwise_euclidean_matrix(x, x)
+    np.fill_diagonal(d, np.inf)
+    return np.partition(d, k - 1, axis=1)[:, k - 1]
+
+
+def peak_traced_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedKnn:
+    """The streamed k-NN and nearest-neighbour passes against the full
+    matrix: same values bit for bit, at block boundaries too."""
+
+    @pytest.mark.parametrize("n", [ROW_BLOCK - 1, ROW_BLOCK, 2 * ROW_BLOCK + 3])
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_radii_equal_full_matrix(self, n, k):
+        x = rng_normal(Rng(n), n, 8)
+        assert np.array_equal(knn_distances(x, k), full_matrix_knn(x, k))
+
+    @pytest.mark.parametrize("n", [ROW_BLOCK - 1, 2 * ROW_BLOCK + 3])
+    def test_nearest_equals_full_matrix_min(self, n):
+        r = Rng(60 + n)
+        a, b = rng_normal(r.split(0), n, 8), rng_normal(r.split(1), 37, 8)
+        assert np.array_equal(nearest_distances(a, b),
+                              pairwise_euclidean_matrix(a, b).min(axis=1))
+        assert np.array_equal(nearest_distances(a, a), np.zeros(n))
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_same_object_coverage(self, k):
+        x = rng_normal(Rng(61), 2 * ROW_BLOCK + 3, 8)
+        nearest = pairwise_euclidean_matrix(x, x).min(axis=1)
+        assert coverage(x, x, k) == float(np.mean(nearest <= full_matrix_knn(x, k))) == 1.0
+
+    def test_memory_well_under_one_n_by_n_matrix(self):
+        n = 4096
+        r = Rng(62)
+        x = rng_normal(r.split(0), n, 32)
+        n_by_n = n * n * 8  # 128 MiB
+        assert peak_traced_bytes(knn_distances, x, 5) < n_by_n / 4
+        assert peak_traced_bytes(nearest_distances, x, rng_normal(r.split(1), n, 32)) < n_by_n / 4
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, bad):
+        x = rng_normal(Rng(63), 10, 3)
+        x[4, 1] = bad
+        clean = rng_normal(Rng(64), 10, 3)
+        with pytest.raises(NumericalError):
+            knn_distances(x, 2)
+        with pytest.raises(NumericalError):
+            nearest_distances(x, clean)
+        with pytest.raises(NumericalError):
+            nearest_distances(clean, x)
 
 
 class TestOracleEquivalenceSweep:

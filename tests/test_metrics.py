@@ -3,7 +3,8 @@ import pytest
 
 from dire import (DimensionError, EmbeddingSet, NumericalError, ParameterError,
                   Rng, coverage, intra_class_cosine, metrics_report,
-                  rng_normal, sym_eig, sym_eigenvalues, vendi_score)
+                  pairwise_cosine_matrix, rng_normal, row_l2_normalize, sym_eig,
+                  sym_eigenvalues, vendi_score)
 
 
 def oracle_vendi(emb):
@@ -13,6 +14,19 @@ def oracle_vendi(emb):
     lam = np.maximum(np.linalg.eigvalsh(k), 0.0)
     lam = lam / lam.sum()
     lam = lam[lam > 0]
+    return float(np.exp(-np.sum(lam * np.log(lam))))
+
+
+def jacobi_vendi(emb):
+    """Vendi through the hand-written Jacobi solver on the full n x n cosine
+    kernel: an independent route to the same spectrum."""
+    unit = row_l2_normalize(emb)
+    lam = sym_eigenvalues(pairwise_cosine_matrix(unit, unit) / emb.shape[0])
+    lam = np.maximum(lam, 0.0)
+    if lam.sum() <= 0.0:
+        return 1.0
+    lam = lam / lam.sum()
+    lam = lam[lam > 0.0]
     return float(np.exp(-np.sum(lam * np.log(lam))))
 
 
@@ -85,6 +99,39 @@ class TestVendiScore:
             assert 1.0 - 1e-9 <= v <= 9.0 + 1e-9
 
 
+def _with_zero_row(emb):
+    return np.vstack([emb[:2], np.zeros((1, emb.shape[1])), emb[2:]])
+
+
+VENDI_ORACLE_CASES = {
+    "n<D": rng_normal(Rng(51), 6, 12),
+    "n=D": rng_normal(Rng(52), 9, 9),
+    "n>D": rng_normal(Rng(53), 30, 5),
+    "zero-row-n<D": _with_zero_row(rng_normal(Rng(54), 5, 10)),
+    "zero-row-n>D": _with_zero_row(rng_normal(Rng(55), 12, 4)),
+    "single-row": rng_normal(Rng(56), 1, 6),
+    "identical-rows": np.tile([[0.3, -1.2, 2.0]], (5, 1)),
+    "all-zero-rows": np.zeros((4, 3)),
+}
+
+
+class TestVendiLapackRoute:
+    """`vendi_score` runs `eigvalsh` on the min(n, D) side; the Jacobi route
+    over the n x n kernel is the oracle."""
+
+    @pytest.mark.parametrize("name", sorted(VENDI_ORACLE_CASES))
+    def test_matches_jacobi_oracle(self, name):
+        emb = VENDI_ORACLE_CASES[name]
+        assert vendi_score(emb) == pytest.approx(jacobi_vendi(emb), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, bad):
+        emb = rng_normal(Rng(57), 8, 3)
+        emb[3, 2] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            vendi_score(emb)
+
+
 class TestCoverage:
     def test_self_coverage_is_one(self):
         x = rng_normal(Rng(37), 20, 3)
@@ -115,6 +162,14 @@ class TestCoverage:
         syn = rng_normal(r.split(1), 5, 4)
         values = [coverage(real, syn, k) for k in range(1, 8)]
         assert all(a <= b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("side", ["real", "syn"])
+    def test_non_finite_side_raises(self, side):
+        r = Rng(59)
+        sets = {"real": rng_normal(r.split(0), 20, 3), "syn": rng_normal(r.split(1), 4, 3)}
+        sets[side][1, 0] = np.nan
+        with pytest.raises(NumericalError):
+            coverage(sets["real"], sets["syn"], 5)
 
     def test_errors(self):
         real = rng_normal(Rng(0), 10, 3)
