@@ -3,10 +3,9 @@
 The naive implementations walk row pairs in Python and exist as the
 benchmark baseline and as a cross-check; the fast variants compute the same
 values through blocked BLAS matmuls with precomputed norms, optionally
-fanning row blocks out to a thread pool. Reductions always accumulate in
-fixed block order, so results do not depend on the worker count. The k-NN
-and nearest-neighbour distances stream the same row blocks and keep only a
-per-row result, so their memory is O(ROW_BLOCK * N), never N x N.
+fanning row blocks out to a thread pool. The k-NN and nearest-neighbour
+distances stream the same row blocks and keep only a per-row result, so
+their memory is O(ROW_BLOCK * N), never N x N.
 """
 
 from __future__ import annotations
@@ -123,29 +122,6 @@ def pairwise_cosine_matrix_naive(a, b, eps: float = COSINE_EPS):
     return out
 
 
-def _reduce(total: float, count: int, reduction: str) -> float:
-    if reduction == "sum":
-        return total
-    if reduction == "mean":
-        return total / count
-    raise ParameterError(f"reduction must be 'sum' or 'mean', got {reduction!r}")
-
-
-def pairwise_cosine_sum(a, b, reduction: str = "sum", eps: float = COSINE_EPS,
-                        block: int = ROW_BLOCK) -> float:
-    """Sum (or mean) of all N*M pairwise cosines, diagonal included when
-    A and B are the same set. Accumulates block sums in fixed order."""
-    a, b = _check_pair(a, b)
-    na, nb = _row_norms(a), _row_norms(b)
-    bt = b.T.copy()
-    total = 0.0
-    for lo, hi in _blocks(a.shape[0], block):
-        g = a[lo:hi] @ bt
-        denom = np.maximum(na[lo:hi, None] * nb[None, :], eps)
-        total += float(np.sum(g / denom))
-    return _reduce(total, a.shape[0] * b.shape[0], reduction)
-
-
 def pairwise_euclidean_matrix(a, b, block: int = ROW_BLOCK,
                               workers: int | None = None):
     """N x M matrix of |A_i - B_j|, via the |a|^2 + |b|^2 - 2<a,b> expansion
@@ -182,23 +158,6 @@ def pairwise_euclidean_matrix_naive(a, b):
             d = ai - bj
             row[j] = math.sqrt(dot(d, d))
     return out
-
-
-def pairwise_euclidean_sum(a, b, reduction: str = "sum",
-                           block: int = ROW_BLOCK) -> float:
-    a, b = _check_pair(a, b)
-    same = a is b
-    na2 = _sq_norms(a)
-    nb2 = na2 if same else _sq_norms(b)
-    bt = b.T.copy()
-    total = 0.0
-    for lo, hi in _blocks(a.shape[0], block):
-        g = _euclid_rows(a[lo:hi], bt, na2[lo:hi], nb2)
-        if same:
-            for i in range(lo, hi):
-                g[i - lo, i] = 0.0
-        total += float(np.sum(g))
-    return _reduce(total, a.shape[0] * b.shape[0], reduction)
 
 
 def _require_finite(m: np.ndarray, what: str):

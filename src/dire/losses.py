@@ -11,12 +11,20 @@ the weights transfer across synthetic-set sizes, sum preserves the raw
 double-sum form. The combined value per class is
 r_c * (CD + CDM) + r_e * EDM.
 
-Gradients are with respect to X only; Y is constant. Each cosine term
-differentiates to y/(|x||y|) - cos(x,y) x/|x|^2, each distance term to
+The cosine terms need no pairwise matrix. With unit rows x_i/|x_i| (0 for
+rows whose norm is under 1e-12) summed to s = sum_i x_i/|x_i|, and t the
+same sum over Y, the double sums are sum_ij cos(x_i, x_j) = s.s and
+sum_ij cos(x_i, y_j) = s.t. Leaving out the diagonal subtracts one per
+nonzero row. EDM forms the K x R distance block once and takes its value
+and its gradient from it.
+
+Gradients are with respect to X only; Y is constant. Differentiating s.t
+gives row i the gradient (t - (u_i.t) u_i) / |x_i| with u_i the unit row;
+CD uses s in place of t and doubles it, since each pair appears in both
+orders. Rows under the norm floor get a zero cosine gradient, as any other
+subgradient choice would explode. Each distance term differentiates to
 (x - y)/|x - y| with a 1e-12 denominator floor (zero gradient at coincident
-pairs). Rows of X with near-zero norm get a zero cosine gradient: the loss
-value there is already 0 by the kernel's epsilon guard, and any other
-subgradient choice would explode.
+pairs).
 """
 
 from __future__ import annotations
@@ -27,9 +35,8 @@ import numpy as np
 
 from .embeddings import EmbeddingSet
 from .errors import ParameterError
-from .kernels import (pairwise_cosine_matrix, pairwise_cosine_sum,
-                      pairwise_euclidean_matrix, pairwise_euclidean_sum)
-from .matrix import Rng, as_matrix
+from .kernels import pairwise_euclidean_matrix
+from .matrix import as_matrix
 
 EDM_DIST_FLOOR = 1e-12
 _NORM_FLOOR = 1e-12
@@ -65,23 +72,18 @@ class LossBreakdown:
     grad: np.ndarray
 
 
-def _guarded_inv_norms(x: np.ndarray):
-    """(1/max(|x_i|, floor), mask of healthy rows)."""
+def _unit_rows(x: np.ndarray):
+    """(rows scaled to unit length, inverse norms), both 0 on rows whose
+    norm is under the floor."""
     norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-    healthy = norms >= _NORM_FLOOR
-    inv = 1.0 / np.maximum(norms, _NORM_FLOOR)
-    return inv, healthy
+    inv = np.where(norms >= _NORM_FLOOR, 1.0 / np.maximum(norms, _NORM_FLOOR), 0.0)
+    return x * inv[:, None], inv
 
 
-def _cosine_sum_grad(x: np.ndarray, y: np.ndarray):
-    """Gradient of sum_{i,j} cos(x_i, y_j) w.r.t. x (y constant)."""
-    inv_x, healthy = _guarded_inv_norms(x)
-    inv_y, _ = _guarded_inv_norms(y)
-    p = np.outer(inv_x, inv_y)
-    c = (x @ y.T) * p
-    grad = p @ y - c.sum(axis=1)[:, None] * x * (inv_x ** 2)[:, None]
-    grad[~healthy] = 0.0
-    return grad
+def _cosine_grad(unit: np.ndarray, inv: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Gradient of sum_{i,j} cos(x_i, y_j) w.r.t. x, with t = sum_j of the
+    unit rows of y."""
+    return inv[:, None] * (t[None, :] - (unit @ t)[:, None] * unit)
 
 
 def cd_loss(e_syn_c, w: DireWeights):
@@ -94,27 +96,19 @@ def cd_loss(e_syn_c, w: DireWeights):
     x = as_matrix(e_syn_c, "E_syn")
     k = x.shape[0]
     count = k * k if w.include_diagonal_cd else k * k - k
-    inv_x, healthy = _guarded_inv_norms(x)
-    p = np.outer(inv_x, inv_x)
-    c = (x @ x.T) * p
+    unit, inv = _unit_rows(x)
+    s = unit.sum(axis=0)
+    value = float(s @ s)
     if not w.include_diagonal_cd:
-        np.fill_diagonal(c, 0.0)
-        np.fill_diagonal(p, 0.0)
-    # value through the shared kernel so it matches pairwise_cosine_sum exactly
-    if w.include_diagonal_cd:
-        value = pairwise_cosine_sum(x, x, reduction="sum")
-    else:
-        full = pairwise_cosine_matrix(x, x)
-        value = float(full.sum() - np.trace(full))
+        value -= int(np.count_nonzero(inv))
     # both orderings of each pair contribute, hence the factor 2
-    grad = 2.0 * (p @ x - c.sum(axis=1)[:, None] * x * (inv_x ** 2)[:, None])
-    grad[~healthy] = 0.0
+    grad = 2.0 * _cosine_grad(unit, inv, s)
     if w.reduction == "mean":
         if count == 0:
             return 0.0, np.zeros_like(x)
         value /= count
         grad = grad / count
-    return float(value), grad
+    return value, grad
 
 
 def cdm_loss(e_syn_c, e_real_c, w: DireWeights):
@@ -128,11 +122,15 @@ def cdm_loss(e_syn_c, e_real_c, w: DireWeights):
     if x.shape[1] != y.shape[1]:
         raise ParameterError(
             f"cdm_loss: feature dims differ, {x.shape[1]} vs {y.shape[1]}")
-    s = pairwise_cosine_sum(x, y, reduction=w.reduction)
-    grad = -_cosine_sum_grad(x, y)
+    unit, inv = _unit_rows(x)
+    t = _unit_rows(y)[0].sum(axis=0)
+    total = float(unit.sum(axis=0) @ t)
+    grad = -_cosine_grad(unit, inv, t)
     if w.reduction == "mean":
-        grad = grad / (x.shape[0] * y.shape[0])
-    return float(1.0 - s), grad
+        count = x.shape[0] * y.shape[0]
+        total /= count
+        grad = grad / count
+    return 1.0 - total, grad
 
 
 def edm_loss(e_syn_c, e_real_c, w: DireWeights):
@@ -143,26 +141,27 @@ def edm_loss(e_syn_c, e_real_c, w: DireWeights):
     if x.shape[1] != y.shape[1]:
         raise ParameterError(
             f"edm_loss: feature dims differ, {x.shape[1]} vs {y.shape[1]}")
-    value = pairwise_euclidean_sum(x, y, reduction=w.reduction)
     dist = pairwise_euclidean_matrix(x, y)
+    value = float(np.sum(dist))
     wmat = 1.0 / np.maximum(dist, EDM_DIST_FLOOR)
     grad = x * wmat.sum(axis=1)[:, None] - wmat @ y
     if w.reduction == "mean":
-        grad = grad / (x.shape[0] * y.shape[0])
-    return float(value), grad
+        count = x.shape[0] * y.shape[0]
+        value /= count
+        grad = grad / count
+    return value, grad
 
 
 def dire_loss(e_syn: EmbeddingSet, e_real: EmbeddingSet, w: DireWeights,
-              components=ALL_COMPONENTS, real_cap: int | None = 256,
-              cap_seed: int = 0):
+              components=ALL_COMPONENTS):
     """Full regularizer over all classes.
 
     Per class combines the enabled components as r_c*(cd + cdm) + r_e*edm;
-    disabled components contribute exactly 0 to value and gradient. The real
-    side is subsampled to at most `real_cap` per class with a seeded draw
-    (None = use everything). Returns (per_class, total): per_class maps
-    class id to its LossBreakdown, total sums the values and stacks the
-    gradients in ascending class order.
+    disabled components contribute exactly 0 to value and gradient. Every
+    real embedding given is used; `recover` caps the real side once before
+    its loop. Returns (per_class, total): per_class maps class id to its
+    LossBreakdown, total sums the values and stacks the gradients in
+    ascending class order.
     """
     components = tuple(components)
     for comp in components:
@@ -171,7 +170,6 @@ def dire_loss(e_syn: EmbeddingSet, e_real: EmbeddingSet, w: DireWeights,
     for c in e_syn.classes():
         if c not in e_real:
             raise ParameterError(f"dire_loss: class {c} missing from real embeddings")
-    real = e_real.subsample(real_cap, Rng(cap_seed))
     per_class: dict[int, LossBreakdown] = {}
     tot_cd = tot_cdm = tot_edm = tot_syn = 0.0
     grads = []
@@ -183,10 +181,10 @@ def dire_loss(e_syn: EmbeddingSet, e_real: EmbeddingSet, w: DireWeights,
             cd, g = cd_loss(x, w)
             grad += w.r_c * g
         if "cdm" in components:
-            cdm, g = cdm_loss(x, real[c], w)
+            cdm, g = cdm_loss(x, e_real[c], w)
             grad += w.r_c * g
         if "edm" in components:
-            edm, g = edm_loss(x, real[c], w)
+            edm, g = edm_loss(x, e_real[c], w)
             grad += w.r_e * g
         l_syn = w.r_c * (cd + cdm) + w.r_e * edm
         per_class[c] = LossBreakdown(cd=cd, cdm=cdm, edm=edm, l_syn=l_syn, grad=grad)

@@ -153,7 +153,8 @@ def total_loss_and_grad(teacher: TeacherModel, s_points, hard_labels,
 
     Returns (SynthesisLoss, gradient w.r.t. s_points). The statistics term
     couples the full batch; the regularizer is evaluated per class on the
-    feature-layer activations and scattered back to point order.
+    feature-layer activations against all of `e_real` (cfg.real_cap is
+    applied by `recover`, not here) and scattered back to point order.
     """
     if teacher.feature_mean is None or teacher.feature_var is None:
         raise ParameterError("total_loss_and_grad: teacher has no stored feature stats")
@@ -175,8 +176,7 @@ def total_loss_and_grad(teacher: TeacherModel, s_points, hard_labels,
     if cfg.components and (cfg.r_c > 0 or cfg.r_e > 0):
         e_syn = EmbeddingSet.from_labeled(feats, hard_labels)
         per_class, total = dire_loss(e_syn, e_real, cfg.dire_weights(),
-                                     components=cfg.components,
-                                     real_cap=cfg.real_cap, cap_seed=cfg.seed)
+                                     components=cfg.components)
         for c, breakdown in per_class.items():
             dfeats[e_syn.rows[c]] += breakdown.grad
         cd, cdm, edm, l_syn = total.cd, total.cdm, total.edm, total.l_syn
@@ -200,14 +200,16 @@ def recover(teacher: TeacherModel, real_train: LabeledDataset,
             cfg: RunConfig) -> SyntheticDataset:
     """Synthesize ipc points per class by descending L_total for cfg.iters
     steps from seeded Gaussian noise. Hard labels are fixed; real embeddings
-    are extracted once before the loop."""
+    are extracted and capped to cfg.real_cap per class (a draw seeded by
+    cfg.seed) once before the loop."""
     labels = class_blocked_labels(real_train.n_classes, cfg.ipc)
     init_rng = Rng(cfg.seed).split(7001)
     points = rng_normal(init_rng, labels.shape[0], real_train.points.shape[1],
                         0.0, cfg.init_std)
 
     real_emb = extract_features(teacher, real_train.points)
-    e_real = EmbeddingSet.from_labeled(real_emb, real_train.labels)
+    e_real = EmbeddingSet.from_labeled(real_emb, real_train.labels).subsample(
+        cfg.real_cap, Rng(cfg.seed))
 
     velocity = np.zeros_like(points)
     trace = []

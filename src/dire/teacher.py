@@ -81,6 +81,24 @@ class TeacherModel:
         if not 1 <= self.feature_layer <= n_hidden:
             raise ParameterError(
                 f"TeacherModel: feature_layer must be a hidden layer in [1, {n_hidden}]")
+        if len(self.biases) != len(self.weights):
+            raise DimensionError(
+                f"TeacherModel: {len(self.weights)} weight layers vs {len(self.biases)} biases")
+        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if l + 1 < len(self.weights) and w.shape[1] != self.weights[l + 1].shape[0]:
+                raise DimensionError(
+                    f"TeacherModel: layer {l} has {w.shape[1]} outputs but layer "
+                    f"{l + 1} takes {self.weights[l + 1].shape[0]} inputs")
+            if np.shape(b) != (w.shape[1],):
+                raise DimensionError(
+                    f"TeacherModel: layer {l} bias has shape {np.shape(b)}, "
+                    f"expected ({w.shape[1]},)")
+        for name in ("feature_mean", "feature_var"):
+            stat = getattr(self, name)
+            if stat is not None and np.shape(stat) != (self.feature_dim,):
+                raise DimensionError(
+                    f"TeacherModel: {name} has shape {np.shape(stat)}, "
+                    f"expected ({self.feature_dim},)")
         if self.feature_var is not None and np.any(np.asarray(self.feature_var) < 0):
             raise ParameterError("TeacherModel: negative stored feature variance")
 
@@ -233,6 +251,8 @@ def _cross_entropy_and_dlogits(logits, targets):
 
 def _sgd_train(points, targets, dim, hidden_sizes, n_classes, epochs, lr,
                seed, batch_size):
+    if batch_size < 1:
+        raise ParameterError(f"training: batch_size must be >= 1, got {batch_size}")
     weights, biases = init_mlp(dim, hidden_sizes, n_classes, seed)
     model = TeacherModel(weights, biases, feature_layer=len(hidden_sizes))
     n = points.shape[0]
@@ -307,11 +327,17 @@ def evaluate_student(points, labels, test: LabeledDataset, hidden_sizes=(32,),
         if targets.shape[0] != points.shape[0]:
             raise DimensionError("evaluate_student: soft labels do not match points")
         n_classes = targets.shape[1]
+        if n_classes < test.n_classes:
+            raise DimensionError(
+                f"evaluate_student: soft labels have {n_classes} classes, "
+                f"fewer than the test split's {test.n_classes}")
     else:
         targets = np.asarray(labels, dtype=np.int64)
         if targets.shape[0] != points.shape[0]:
             raise DimensionError("evaluate_student: labels do not match points")
         n_classes = test.n_classes
+        if targets.size and (targets.min() < 0 or targets.max() >= n_classes):
+            raise ParameterError(f"evaluate_student: labels must lie in [0, {n_classes})")
     if epochs == 0:
         weights, biases = init_mlp(points.shape[1], hidden_sizes, n_classes, seed)
         model = TeacherModel(weights, biases, feature_layer=len(hidden_sizes))

@@ -123,8 +123,7 @@ def test_criterion_2_gradient_suite():
 
         def syn_loss(m):
             per, tot = dire_loss(EmbeddingSet({0: m, 1: y2}),
-                                 EmbeddingSet({0: y, 1: y2 + 4.0}), w,
-                                 real_cap=None)
+                                 EmbeddingSet({0: y, 1: y2 + 4.0}), w)
             return tot.l_syn, per[0].grad
 
         worst["l_syn"] = max(worst["l_syn"], finite_diff_check(syn_loss, x, h))

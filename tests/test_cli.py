@@ -1,9 +1,11 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dire import Rng, read_emb, read_labels, rng_normal, write_emb, write_labels
+from dire import (Rng, read_emb, read_labels, rng_normal, write_emb,
+                  write_labels, write_teacher)
 from dire.cli import main
 from dire.fileio import EMB_HEADER, digest_file, read_manifest
 
@@ -12,6 +14,26 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture
+def toy_data(tmp_path, capsys):
+    """A 3-class, 6-dim gen-data split under tmp_path, plus six points."""
+    prefix = str(tmp_path / "toy")
+    assert main(["gen-data", "--classes", "3", "--dim", "6", "--per-class", "10",
+                 "--seed", "1", "--out", prefix]) == 0
+    write_emb(tmp_path / "p.emb", rng_normal(Rng(2), 6, 6))
+    capsys.readouterr()
+    return prefix
+
+
+def _inconsistent_checkpoint(path, stats_dim=10, second_in=10):
+    """Write a DIRT file whose layers or stats disagree, bypassing the
+    model's own checks."""
+    write_teacher(path, SimpleNamespace(
+        weights=[np.zeros((6, 10)), np.zeros((second_in, 3))],
+        biases=[np.zeros(10), np.zeros(3)], feature_layer=1,
+        feature_mean=np.zeros(stats_dim), feature_var=np.ones(stats_dim)))
 
 
 class TestUsageErrors:
@@ -58,6 +80,43 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
         assert code == 1
         assert err.count("\n") == 1 and err.startswith("dire: error:") and flag in err
+
+    @pytest.mark.parametrize("argv", [
+        ("squeeze", "--data", "{data}", "--batch-size", "-5", "--out", "{tmp}/t"),
+        ("squeeze", "--data", "{data}", "--batch-size", "0", "--out", "{tmp}/t"),
+        ("evaluate", "--points", "{tmp}/p.emb", "--labels", "{tmp}/neg.csv",
+         "--data", "{data}"),
+        ("evaluate", "--points", "{tmp}/p.emb", "--labels", "{tmp}/big.csv",
+         "--data", "{data}"),
+        ("evaluate", "--points", "{tmp}/p.emb", "--soft", "{tmp}/soft2.emb",
+         "--data", "{data}"),
+    ], ids=["batch-neg", "batch-zero", "label-neg", "label-big", "soft-width"])
+    def test_bad_training_input_is_one_line_domain_error(self, capsys, tmp_path,
+                                                         toy_data, argv):
+        write_labels(tmp_path / "neg.csv", [0, 1, 2, 0, 1, -1])
+        write_labels(tmp_path / "big.csv", [0, 1, 2, 0, 1, 5])
+        write_emb(tmp_path / "soft2.emb", np.full((6, 2), 0.5))
+        code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path, data=toy_data)
+                                           for a in argv))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("dire: error:")
+
+    @pytest.mark.parametrize("command, stats_dim, second_in", [
+        ("extract", 10, 8), ("relabel", 10, 8), ("recover", 10, 8), ("recover", 2, 10),
+    ], ids=["extract-layers", "relabel-layers", "recover-layers", "recover-stats"])
+    def test_inconsistent_checkpoint_is_one_line_domain_error(
+            self, capsys, tmp_path, toy_data, command, stats_dim, second_in):
+        ckpt = tmp_path / "bad.ckpt"
+        _inconsistent_checkpoint(ckpt, stats_dim, second_in)
+        if command == "recover":
+            argv = ("recover", "--teacher", str(ckpt), "--data", toy_data,
+                    "--iters", "2", "--out", str(tmp_path / "run"))
+        else:
+            argv = (command, "--teacher", str(ckpt), "--points", str(tmp_path / "p.emb"),
+                    "--out", str(tmp_path / "out.emb"))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "TeacherModel" in err
 
     def test_non_finite_embedding_is_one_line_domain_error(self, capsys, tmp_path):
         real = rng_normal(Rng(3), 20, 4)

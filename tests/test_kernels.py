@@ -4,12 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dire import (DimensionError, NumericalError, ParameterError, Rng,
-                  bench_kernels, coverage, knn_distances, nearest_distances,
-                  pairwise_cosine_matrix, pairwise_cosine_matrix_naive,
-                  pairwise_cosine_sum, pairwise_euclidean_matrix,
-                  pairwise_euclidean_matrix_naive, pairwise_euclidean_sum,
-                  rng_normal)
+from dire import (DimensionError, DireWeights, NumericalError, ParameterError,
+                  Rng, bench_kernels, cd_loss, cdm_loss, coverage, edm_loss,
+                  knn_distances, nearest_distances, pairwise_cosine_matrix,
+                  pairwise_cosine_matrix_naive, pairwise_euclidean_matrix,
+                  pairwise_euclidean_matrix_naive, rng_normal)
 from dire.kernels import ROW_BLOCK
 
 
@@ -80,26 +79,6 @@ class TestCosineMatrix:
             pairwise_cosine_matrix(np.eye(2), np.eye(3))
 
 
-class TestCosineSum:
-    def test_identity_sum(self):
-        assert pairwise_cosine_sum(np.eye(2), np.eye(2), "sum") == pytest.approx(2.0)
-
-    def test_identical_rows_diagonal_included(self):
-        m = np.array([[1.0, 0.0], [1.0, 0.0]])
-        assert pairwise_cosine_sum(m, m, "sum") == pytest.approx(4.0)
-
-    def test_mean_matches_oracle(self):
-        rng = Rng(8)
-        a = rng_normal(rng.split(0), 6, 3)
-        b = rng_normal(rng.split(1), 6, 3)
-        expected = oracle_cosine(a, b).mean()
-        assert pairwise_cosine_sum(a, b, "mean") == pytest.approx(expected, abs=1e-12)
-
-    def test_bad_reduction(self):
-        with pytest.raises(ParameterError):
-            pairwise_cosine_sum(np.eye(2), np.eye(2), "median")
-
-
 class TestEuclideanMatrix:
     def test_three_four_five(self):
         out = pairwise_euclidean_matrix(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]]))
@@ -126,11 +105,27 @@ class TestEuclideanMatrix:
             i, j, k = rng.integers(0, 15, size=3)
             assert d[i, k] <= d[i, j] + d[j, k] + 1e-9
 
-    def test_sum_reduction(self):
+
+class TestRegularizerPairSums:
+    """The regularizer's reduced pair sums against this file's oracles."""
+
+    def test_identical_rows_diagonal_included(self):
+        m = np.array([[1.0, 0.0], [1.0, 0.0]])
+        value, _ = cd_loss(m, DireWeights(reduction="sum"))
+        assert value == pytest.approx(4.0)
+
+    def test_cdm_mean_matches_oracle(self):
+        rng = Rng(8)
+        a = rng_normal(rng.split(0), 6, 3)
+        b = rng_normal(rng.split(1), 6, 3)
+        value, _ = cdm_loss(a, b, DireWeights(reduction="mean"))
+        assert 1.0 - value == pytest.approx(oracle_cosine(a, b).mean(), abs=1e-12)
+
+    def test_edm_three_four_five_sum_and_mean(self):
         a = np.array([[0.0, 0.0]])
         b = np.array([[3.0, 4.0], [0.0, 0.0]])
-        assert pairwise_euclidean_sum(a, b, "sum") == pytest.approx(5.0)
-        assert pairwise_euclidean_sum(a, b, "mean") == pytest.approx(2.5)
+        assert edm_loss(a, b, DireWeights(reduction="sum"))[0] == pytest.approx(5.0)
+        assert edm_loss(a, b, DireWeights(reduction="mean"))[0] == pytest.approx(2.5)
 
 
 class TestKnnDistances:

@@ -3,7 +3,7 @@ import pytest
 
 from dire import (DireWeights, EmbeddingSet, ParameterError, Rng, cd_loss,
                   cdm_loss, dire_loss, edm_loss, finite_diff_check,
-                  finite_diff_grad, pairwise_cosine_sum, rng_normal,
+                  finite_diff_grad, pairwise_cosine_matrix, rng_normal,
                   row_l2_normalize)
 
 SUM = DireWeights(reduction="sum")
@@ -39,7 +39,25 @@ class TestCdLoss:
     def test_value_matches_kernel_sum(self):
         x = rng_normal(Rng(3), 6, 4)
         value, _ = cd_loss(x, SUM)
-        assert value == pytest.approx(pairwise_cosine_sum(x, x, "sum"), abs=1e-12)
+        assert value == pytest.approx(pairwise_cosine_matrix(x, x).sum(), abs=1e-12)
+
+    def test_excluded_diagonal_matches_matrix_sum_minus_trace(self):
+        x = rng_normal(Rng(3), 6, 4)
+        full = pairwise_cosine_matrix(x, x)
+        value, _ = cd_loss(x, DireWeights(reduction="sum", include_diagonal_cd=False))
+        assert value == pytest.approx(full.sum() - np.trace(full), abs=1e-12)
+
+    def test_zero_row_contributes_nothing(self):
+        x = rng_normal(Rng(4), 5, 3)
+        x[2] = 0.0
+        rest = np.delete(x, 2, axis=0)
+        for diag in (True, False):
+            w = DireWeights(reduction="sum", include_diagonal_cd=diag)
+            value, grad = cd_loss(x, w)
+            rest_value, rest_grad = cd_loss(rest, w)
+            assert value == pytest.approx(rest_value, abs=1e-12)
+            assert np.array_equal(grad[2], np.zeros(3))
+            np.testing.assert_allclose(np.delete(grad, 2, axis=0), rest_grad, atol=1e-12)
 
     def test_finite_differences(self):
         x = rng_normal(Rng(5), 6, 4)
@@ -88,6 +106,20 @@ class TestCdmLoss:
     def test_dim_mismatch(self):
         with pytest.raises(ParameterError):
             cdm_loss(np.eye(2), np.eye(3), MEAN)
+
+    def test_zero_rows_contribute_nothing(self):
+        r = Rng(15)
+        x = rng_normal(r.split(0), 4, 3)
+        y = rng_normal(r.split(1), 5, 3)
+        x0, y0 = x.copy(), y.copy()
+        x0[1] = 0.0
+        y0[3] = 0.0
+        value, grad = cdm_loss(x0, y0, SUM)
+        rest_value, rest_grad = cdm_loss(np.delete(x0, 1, axis=0),
+                                         np.delete(y0, 3, axis=0), SUM)
+        assert value == pytest.approx(rest_value, abs=1e-12)
+        assert np.array_equal(grad[1], np.zeros(3))
+        np.testing.assert_allclose(np.delete(grad, 1, axis=0), rest_grad, atol=1e-12)
 
 
 class TestEdmLoss:
@@ -146,7 +178,7 @@ class TestDireLoss:
     def test_total_equals_per_class_recomputation(self):
         syn, real = self._sets()
         w = DireWeights(r_c=1.3, r_e=0.2, reduction="mean")
-        per_class, total = dire_loss(syn, real, w, real_cap=None)
+        per_class, total = dire_loss(syn, real, w)
         expect = 0.0
         for c in syn.classes():
             cd, _ = cd_loss(syn[c], w)
@@ -161,9 +193,9 @@ class TestDireLoss:
     def test_component_masking(self):
         syn, real = self._sets()
         w = DireWeights(r_c=1.0, r_e=1.0)
-        _, only_cd = dire_loss(syn, real, w, components=("cd",), real_cap=None)
+        _, only_cd = dire_loss(syn, real, w, components=("cd",))
         assert only_cd.cdm == 0.0 and only_cd.edm == 0.0 and only_cd.cd != 0.0
-        _, only_edm = dire_loss(syn, real, w, components=("edm",), real_cap=None)
+        _, only_edm = dire_loss(syn, real, w, components=("edm",))
         assert only_edm.cd == 0.0 and only_edm.cdm == 0.0 and only_edm.edm != 0.0
         with pytest.raises(ParameterError):
             dire_loss(syn, real, w, components=("cd", "huber"))
@@ -174,23 +206,13 @@ class TestDireLoss:
         with pytest.raises(ParameterError, match="class 1"):
             dire_loss(syn, real, DireWeights())
 
-    def test_real_cap_is_seeded(self):
-        syn, real = self._sets()
-        w = DireWeights()
-        _, a = dire_loss(syn, real, w, real_cap=4, cap_seed=1)
-        _, b = dire_loss(syn, real, w, real_cap=4, cap_seed=1)
-        _, c = dire_loss(syn, real, w, real_cap=4, cap_seed=2)
-        assert a.l_syn == b.l_syn
-        assert a.l_syn != c.l_syn
-
     def test_gradient_via_finite_differences(self):
         syn, real = self._sets(23)
         w = DireWeights(r_c=0.7, r_e=0.3, reduction="mean")
         x0 = syn[0]
 
         def loss_fn(m):
-            per, tot = dire_loss(EmbeddingSet({0: m, 1: syn[1]}), real, w,
-                                 real_cap=None)
+            per, tot = dire_loss(EmbeddingSet({0: m, 1: syn[1]}), real, w)
             return tot.l_syn, per[0].grad
 
         assert finite_diff_check(loss_fn, x0, h=1e-5) < 1e-4

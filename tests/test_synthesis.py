@@ -163,6 +163,24 @@ class TestRecover:
         with pytest.raises(NumericalError, match="iteration"):
             recover(poisoned, train, small_cfg(iters=5))
 
+    def test_real_cap_drawn_once_per_recover(self, small_world, monkeypatch):
+        train, _, teacher, _ = small_world
+        calls = []
+        subsample = EmbeddingSet.subsample
+
+        def counting_subsample(self, *args, **kwargs):
+            calls.append(1)
+            return subsample(self, *args, **kwargs)
+        monkeypatch.setattr(EmbeddingSet, "subsample", counting_subsample)
+        recover(teacher, train, small_cfg(iters=5, real_cap=4))
+        assert len(calls) == 1
+
+    def test_real_cap_changes_points(self, small_world):
+        train, _, teacher, _ = small_world
+        capped = recover(teacher, train, small_cfg(iters=5, real_cap=2))
+        full = recover(teacher, train, small_cfg(iters=5, real_cap=None))
+        assert not np.array_equal(capped.points, full.points)
+
     def test_trace_csv_columns(self, small_world):
         train, _, teacher, _ = small_world
         syn = recover(teacher, train, small_cfg(iters=3))

@@ -130,6 +130,19 @@ class TestFeatureExtraction:
             TeacherModel([np.zeros((4, 6)), np.zeros((6, 2))],
                          [np.zeros(6), np.zeros(2)], feature_layer=2)
 
+    @pytest.mark.parametrize("weights, biases, stats", [
+        ([(4, 6), (5, 2)], [6, 2], 6),
+        ([(4, 6), (6, 2)], [5, 2], 6),
+        ([(4, 6), (6, 2)], [6, 3], 6),
+        ([(4, 6), (6, 2)], [6], 6),
+        ([(4, 6), (6, 2)], [6, 2], 2),
+    ], ids=["layer-dims", "hidden-bias", "output-bias", "bias-count", "stats"])
+    def test_inconsistent_checkpoint_rejected(self, weights, biases, stats):
+        with pytest.raises(DimensionError):
+            TeacherModel([np.zeros(s) for s in weights], [np.zeros(n) for n in biases],
+                         feature_layer=1, feature_mean=np.zeros(stats),
+                         feature_var=np.ones(stats))
+
 
 class TestRelabel:
     def _model(self):
@@ -194,6 +207,30 @@ class TestEvaluateStudent:
         acc = evaluate_student(train.points, soft, test, (8,),
                                epochs=10, lr=0.1, seed=19)
         assert acc > 0.5
+
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    def test_batch_size_must_be_positive(self, batch_size):
+        train, test = gen_mixture(3, 4, 10, 0.2, seed=1)
+        with pytest.raises(ParameterError, match="batch_size"):
+            squeeze_train(train, (4,), epochs=1, batch_size=batch_size)
+        with pytest.raises(ParameterError, match="batch_size"):
+            evaluate_student(train.points, train.labels, test, (4,), epochs=1,
+                             batch_size=batch_size)
+
+    @pytest.mark.parametrize("bad_label", [-1, 3])
+    def test_hard_labels_outside_test_classes_rejected(self, bad_label):
+        train, test = gen_mixture(3, 4, 10, 0.2, seed=1)
+        labels = train.labels.copy()
+        labels[-1] = bad_label
+        for epochs in (0, 1):
+            with pytest.raises(ParameterError, match="labels"):
+                evaluate_student(train.points, labels, test, (4,), epochs=epochs)
+
+    def test_soft_labels_must_cover_test_classes(self):
+        train, test = gen_mixture(3, 4, 10, 0.2, seed=1)
+        soft = SoftLabels(np.full((len(train), 2), 0.5), temperature=1.0)
+        with pytest.raises(DimensionError, match="classes"):
+            evaluate_student(train.points, soft, test, (4,), epochs=1)
 
     def test_soft_label_invariants_enforced(self):
         bad = np.array([[0.5, 0.4]])
