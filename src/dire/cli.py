@@ -52,12 +52,15 @@ def _data_paths(prefix: str, split: str):
     return Path(f"{prefix}.{split}.emb"), Path(f"{prefix}.{split}.labels.csv")
 
 
+def _class_count(labels) -> int:
+    return int(labels.max()) + 1 if labels.size else 0
+
+
 def _load_split(prefix: str, split: str) -> LabeledDataset:
     emb_path, lbl_path = _data_paths(prefix, split)
     points = read_emb(emb_path)
     labels = read_labels(lbl_path)
-    n_classes = int(labels.max()) + 1 if labels.size else 0
-    return LabeledDataset(points, labels, n_classes, split)
+    return LabeledDataset(points, labels, _class_count(labels), split)
 
 
 def _manifest_for(args, name: str) -> ExperimentManifest:
@@ -186,6 +189,11 @@ def cmd_evaluate(args) -> int:
         test = _load_split(args.data, "test")
         for p in _data_paths(args.data, "test"):
             manifest.record_input(p)
+        train_labels = _data_paths(args.data, "train")[1]
+        if args.labels and train_labels.exists():
+            # a class the test split lacks is still one of the dataset's classes
+            test.n_classes = max(test.n_classes, _class_count(read_labels(train_labels)))
+            manifest.record_input(train_labels)
         acc = evaluate_student(points, labels, test,
                                hidden_sizes=hidden,
                                epochs=args.epochs, lr=args.lr, seed=args.seed)

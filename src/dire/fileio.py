@@ -8,6 +8,11 @@ DIRT container: layer dimensions and weights, the feature-layer index, and
 the stored feature statistics. Configs and manifests are JSON; labels are
 single-column CSV. Manifests record a 64-bit FNV-1a digest per input and
 output file so reruns can be checked for bit-identical artifacts.
+
+FNV-1a (h <- (h ^ b) * P mod 2^64) runs here without a byte loop. P is odd with
+P mod 256 = 179, so bit j of the next low byte (s ^ b) * 179 is bit j of s ^ b
+flipped by bits < j only: each bit plane of the low bytes s_i is a prefix XOR.
+With d_i = (s_i ^ b_i) - s_i, h_m = h_0 P^m + sum_{i<m} d_i P^(m-i) mod 2^64.
 """
 
 from __future__ import annotations
@@ -154,17 +159,80 @@ def dump_config(cfg: RunConfig) -> str:
     return json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
+FNV_OFFSET = 0xCBF29CE484222325
+FNV_PRIME = 0x100000001B3
+_MASK64 = (1 << 64) - 1
+DIGEST_CHUNK = 1 << 16
+_PIECE = 1 << 13
+# P^-i mod 2^64 for i = 256 q + r, as P^(-256 q) * P^-r
+_P_INV = pow(FNV_PRIME, -1, 1 << 64)
+_INV_POWERS_LOW = np.array([pow(_P_INV, r, 1 << 64) for r in range(256)], dtype=np.uint64)
+_INV_POWERS_HIGH = np.array([pow(_P_INV, 256 * q, 1 << 64) for q in range(DIGEST_CHUNK // 256)],
+                            dtype=np.uint64)
+_WORD_SHIFTS = tuple(np.uint64(s) for s in (1, 2, 4, 8, 16, 32))
+_TOP_BIT = np.uint64(63)
+
+
+def _fnv1a64_update(h: int, data: np.ndarray) -> int:
+    """FNV-1a state after feeding h the bytes of `data` (uint8, at most
+    DIGEST_CHUNK of them)."""
+    m = data.size
+    b = data
+    if m % 256:  # zero padding comes after every real byte and has d_i = 0
+        b = np.zeros(m + (-m % 256), np.uint8)
+        b[:m] = data
+    low = np.zeros(b.size, np.uint8)  # s_i, the low byte of the state before byte i
+    u = np.empty(b.size, np.uint8)
+    tmp = np.empty(b.size // 64, np.uint64)
+    for j in range(8):
+        # With bits < j of every s_i known, bit j of ((s_i ^ b_i) * 179) is
+        # bit j of s_(i+1) ^ s_i; bit j of s_i is the XOR of those before i.
+        np.bitwise_xor(low, b, out=u)
+        u *= 179
+        u &= 1 << j
+        words = np.packbits(u, bitorder="little").view("<u8")
+        prefix = words.copy()
+        for shift in _WORD_SHIFTS:  # inclusive prefix XOR inside each word
+            np.left_shift(prefix, shift, out=tmp)
+            prefix ^= tmp
+        np.right_shift(prefix, _TOP_BIT, out=tmp)  # each word's parity
+        carry = np.bitwise_xor.accumulate(tmp)
+        carry ^= tmp  # parity of the earlier words
+        carry ^= (h >> j) & 1  # bit j of s_0
+        prefix ^= words  # exclusive: s_i does not see byte i
+        prefix ^= np.negative(carry)
+        bits = np.unpackbits(prefix.view(np.uint8), bitorder="little")
+        bits *= 1 << j
+        low |= bits
+    # h_m = P^m (h_0 + sum_i d_i P^-i), summed in pieces whose int64
+    # temporaries stay small heap blocks
+    np.bitwise_xor(low, b, out=u)
+    tail = 0
+    for lo in range(0, b.size, _PIECE):
+        delta = u[lo:lo + _PIECE].astype(np.int64)
+        delta -= low[lo:lo + _PIECE]
+        per_256 = delta.view(np.uint64).reshape(-1, 256) @ _INV_POWERS_LOW
+        tail += int(_INV_POWERS_HIGH[lo // 256:][:per_256.size] @ per_256)
+    return pow(FNV_PRIME, m, 1 << 64) * (h + tail) & _MASK64
+
+
 def fnv1a64(data: bytes) -> int:
     """64-bit FNV-1a. Integrity check for manifests, not cryptographic."""
-    h = 0xCBF29CE484222325
-    for byte in data:
-        h ^= byte
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    b = np.frombuffer(data, dtype=np.uint8)
+    h = FNV_OFFSET
+    for start in range(0, b.size, DIGEST_CHUNK):
+        h = _fnv1a64_update(h, b[start:start + DIGEST_CHUNK])
     return h
 
 
 def digest_file(path) -> str:
-    return f"{fnv1a64(Path(path).read_bytes()):016x}"
+    """FNV-1a hex of a file, read through one DIGEST_CHUNK buffer."""
+    h = FNV_OFFSET
+    buf = bytearray(DIGEST_CHUNK)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h = _fnv1a64_update(h, np.frombuffer(buf, dtype=np.uint8, count=n))
+    return f"{h:016x}"
 
 
 @dataclass

@@ -147,16 +147,15 @@ def pairwise_euclidean_matrix(a, b, block: int = ROW_BLOCK,
 
 
 def pairwise_euclidean_matrix_naive(a, b):
-    """Reference nested-loop Euclidean distance: one difference per pair."""
+    """Reference nested-loop Euclidean distance: one difference and one dot
+    product per pair."""
     a, b = _check_pair(a, b)
     dot = np.dot
-    b_rows = list(b)
     out = np.empty((a.shape[0], b.shape[0]))
     for i in range(a.shape[0]):
-        ai, row = a[i], out[i]
-        for j, bj in enumerate(b_rows):
-            d = ai - bj
-            row[j] = math.sqrt(dot(d, d))
+        diff = a[i] - b
+        out[i] = list(map(dot, diff, diff))
+        np.sqrt(out[i], out=out[i])
     return out
 
 

@@ -134,6 +134,21 @@ class TestUsageErrors:
         assert err.count("\n") == 1 and "non-finite" in err
 
 
+class TestEvaluateCommand:
+    def test_hard_labels_of_a_class_missing_from_the_test_split(self, capsys, tmp_path,
+                                                                toy_data):
+        test_emb, test_csv = f"{toy_data}.test.emb", f"{toy_data}.test.labels.csv"
+        keep = read_labels(test_csv) != 2
+        write_emb(test_emb, read_emb(test_emb)[keep])
+        write_labels(test_csv, read_labels(test_csv)[keep])
+        write_labels(tmp_path / "hard.csv", [0, 1, 2, 0, 1, 2])
+        code, out, err = run_cli(capsys, "evaluate", "--points", str(tmp_path / "p.emb"),
+                                 "--labels", str(tmp_path / "hard.csv"), "--data", toy_data,
+                                 "--epochs", "2")
+        assert code == 0 and err == ""
+        assert 0.0 <= json.loads(out)["accuracy"] <= 1.0
+
+
 class TestMetricsCommand:
     def test_json_on_stdout_and_csv_append(self, capsys, tmp_path):
         rng = Rng(0)

@@ -1,14 +1,17 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dire import (ConfigError, FormatError, ParameterError, Rng, RunConfig,
                   digest_file, dump_config, extract_features, fnv1a64,
                   gen_mixture, load_config, read_emb, read_labels,
                   read_teacher, rng_normal, squeeze_train, write_emb,
                   write_labels, write_teacher)
-from dire.fileio import EMB_HEADER, ExperimentManifest
+from dire.fileio import DIGEST_CHUNK, EMB_HEADER, ExperimentManifest
 
 
 class TestEmbFormat:
@@ -163,11 +166,52 @@ class TestConfig:
         assert dump_config(loaded) == dump_config(cfg)
 
 
+def _fnv1a64_oracle(data: bytes) -> int:
+    """The FNV-1a definition, one byte at a time."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h ^= byte
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+CHUNK_LENGTHS = [0, 1, 63, 64, 65, DIGEST_CHUNK - 1, DIGEST_CHUNK, DIGEST_CHUNK + 1,
+                 2 * DIGEST_CHUNK + 17]
+
+
 class TestDigests:
     def test_fnv1a_known_vectors(self):
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
         assert fnv1a64(b"foobar") == 0x85944171F73967E8
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=600))
+    def test_fnv1a_matches_byte_loop(self, data):
+        assert fnv1a64(data) == _fnv1a64_oracle(data)
+
+    @pytest.mark.parametrize("n", CHUNK_LENGTHS)
+    def test_fnv1a_matches_byte_loop_at_chunk_edges(self, n):
+        random = Rng(n).generator.integers(0, 256, n, dtype=np.uint8).tobytes()
+        for data in (random, b"\x00" * n, b"\xff" * n):
+            assert fnv1a64(data) == _fnv1a64_oracle(data)
+
+    @pytest.mark.parametrize("n", CHUNK_LENGTHS)
+    def test_streamed_digest_matches_whole_file(self, tmp_path, n):
+        path = tmp_path / "x.bin"
+        path.write_bytes(Rng(n).generator.integers(0, 256, n, dtype=np.uint8).tobytes())
+        assert digest_file(path) == f"{fnv1a64(path.read_bytes()):016x}"
+
+    def test_streamed_digest_memory_is_bounded(self, tmp_path):
+        path = tmp_path / "big.bin"
+        path.write_bytes(bytes(range(256)) * (128 << 10))  # 32 MiB
+        tracemalloc.start()
+        try:
+            digest_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_digest_file_stable(self, tmp_path):
         path = tmp_path / "x.bin"

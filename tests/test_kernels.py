@@ -97,6 +97,18 @@ class TestEuclideanMatrix:
         for fn in (pairwise_euclidean_matrix, pairwise_euclidean_matrix_naive):
             np.testing.assert_allclose(fn(a, b), oracle_euclidean(a, b), atol=1e-9)
 
+    @pytest.mark.parametrize("n, m, d", [(1, 1, 1), (7, 5, 3), (33, 17, 64)])
+    def test_naive_equals_per_pair_loop(self, n, m, d):
+        rng = Rng(n)
+        a = rng_normal(rng.split(0), n, d)
+        b = rng_normal(rng.split(1), m, d)
+        per_pair = np.empty((n, m))
+        for i in range(n):
+            for j in range(m):
+                diff = a[i] - b[j]
+                per_pair[i, j] = math.sqrt(np.dot(diff, diff))
+        assert np.array_equal(pairwise_euclidean_matrix_naive(a, b), per_pair)
+
     def test_triangle_inequality(self):
         m = rng_normal(Rng(7), 15, 6)
         d = pairwise_euclidean_matrix(m, m)
