@@ -9,7 +9,7 @@ same-class points are to each other (lower = more diverse).
 import numpy as np
 
 from dire import (EmbeddingSet, Rng, coverage, intra_class_cosine,
-                  metrics_report, rng_normal, sym_eigenvalues, vendi_score)
+                  metrics_report, rng_normal, vendi_score)
 
 rng = Rng(7)
 
@@ -23,7 +23,7 @@ print("vendi, 8 random vectors:     ", round(vendi_score(mixed), 3))
 
 # the score is the exponentiated entropy of the kernel spectrum; peek at it
 unit = mixed / np.linalg.norm(mixed, axis=1, keepdims=True)
-spectrum = sym_eigenvalues(unit @ unit.T / 8)
+spectrum = np.linalg.eigvalsh(unit @ unit.T / 8)[::-1]
 print("kernel eigenvalues (desc):   ", np.round(spectrum, 3))
 
 # --- coverage: a clump covers few neighborhoods, a spread covers many ---

@@ -17,7 +17,7 @@ from .kernels import (BenchReport, bench_kernels, knn_distances,
                       pairwise_euclidean_matrix_naive, worker_count)
 from .embeddings import EmbeddingSet
 from .metrics import (MetricsReport, coverage, intra_class_cosine,
-                      metrics_report, sym_eig, sym_eigenvalues, vendi_score)
+                      metrics_report, vendi_score)
 from .losses import (ALL_COMPONENTS, DireWeights, LossBreakdown, cd_loss,
                      cdm_loss, dire_loss, edm_loss, finite_diff_check,
                      finite_diff_grad)

@@ -2,10 +2,12 @@
 
 Subcommands sequence the pipeline: gen-data -> squeeze -> recover ->
 relabel -> evaluate -> metrics, plus extract (embedding export), ablate,
-bench, and sweep. Every stage writes a JSON manifest recording its argv,
-resolved config, and FNV-1a digests of inputs and outputs, so reruns can be
-verified bit-for-bit. Exit codes: 0 success, 1 domain error (one-line
-diagnostic on stderr), 2 usage error.
+bench, and sweep. A stage that writes a file also writes
+{prefix}.{stage}.manifest.json with its argv, resolved config, wall time
+and FNV-1a digests of inputs and outputs, so reruns can be verified
+bit-for-bit (metrics takes its prefix from --csv, evaluate and bench from
+--out). Exit codes: 0 success, 1 domain error (one-line diagnostic on
+stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -14,13 +16,15 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
 from .errors import DireError
-from .fileio import (ExperimentManifest, StageTimer, load_config, read_emb,
-                     read_labels, read_teacher, write_emb, write_labels,
-                     write_manifest, write_teacher)
+from .fileio import (ExperimentManifest, load_config, read_emb, read_labels,
+                     read_teacher, write_emb, write_labels, write_manifest,
+                     write_teacher)
 from .kernels import bench_kernels, bench_to_csv
 from .embeddings import EmbeddingSet
 from .metrics import metrics_report
@@ -63,10 +67,6 @@ def _load_split(prefix: str, split: str) -> LabeledDataset:
     return LabeledDataset(points, labels, _class_count(labels), split)
 
 
-def _manifest_for(args, name: str) -> ExperimentManifest:
-    return ExperimentManifest(subcommand=name, argv=list(args._argv))
-
-
 def _config_from_args(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     overrides = {}
@@ -83,18 +83,36 @@ def _config_from_args(args) -> RunConfig:
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
+@contextmanager
+def _stage(args, name: str, prefix, inputs, outputs, config=None):
+    """Run a stage body and record it in {prefix}.{name}.manifest.json: argv,
+    config, FNV-1a digests of the inputs (taken on entry) and of the outputs
+    (taken after the body wrote them), and the wall time over the body and
+    both digest passes. A stage without an output prefix records nothing."""
+    if prefix is None:
+        yield
+        return
+    t0 = time.perf_counter()
+    manifest = ExperimentManifest(subcommand=name, argv=list(args._argv), config=config)
+    for path in inputs:
+        manifest.record_input(path)
+    yield
+    for path in outputs:
+        manifest.record_output(path)
+    manifest.wall_time_s = time.perf_counter() - t0
+    write_manifest(f"{prefix}.{name}.manifest.json", manifest)
+
+
 def cmd_gen_data(args) -> int:
     train, test = gen_mixture(args.classes, args.dim, args.per_class,
                               args.spread, args.seed)
-    manifest = _manifest_for(args, "gen-data")
-    with StageTimer(manifest):
-        for split, data in (("train", train), ("test", test)):
+    splits = {"train": train, "test": test}
+    outputs = [p for split in splits for p in _data_paths(args.out, split)]
+    with _stage(args, "gen-data", args.out, (), outputs):
+        for split, data in splits.items():
             emb_path, lbl_path = _data_paths(args.out, split)
             write_emb(emb_path, data.points)
             write_labels(lbl_path, data.labels)
-            manifest.record_output(emb_path)
-            manifest.record_output(lbl_path)
-    write_manifest(f"{args.out}.gen-data.manifest.json", manifest)
     print(json.dumps({"train": len(train), "test": len(test),
                       "classes": args.classes, "dim": args.dim}))
     return 0
@@ -102,106 +120,71 @@ def cmd_gen_data(args) -> int:
 
 def cmd_squeeze(args) -> int:
     hidden = _parse_hidden(args.hidden, "--hidden")
-    manifest = _manifest_for(args, "squeeze")
-    with StageTimer(manifest):
-        train = _load_split(args.data, "train")
-        for p in _data_paths(args.data, "train"):
-            manifest.record_input(p)
-        model = squeeze_train(train, hidden_sizes=hidden,
+    with _stage(args, "squeeze", args.out, _data_paths(args.data, "train"), [args.out]):
+        model = squeeze_train(_load_split(args.data, "train"), hidden_sizes=hidden,
                               epochs=args.epochs, lr=args.lr, seed=args.seed,
                               batch_size=args.batch_size)
         write_teacher(args.out, model)
-        manifest.record_output(args.out)
-    write_manifest(f"{args.out}.squeeze.manifest.json", manifest)
     print(json.dumps({"train_accuracy": model.meta["train_accuracy"],
                       "hidden": list(model.hidden_sizes())}))
     return 0
 
 
 def cmd_extract(args) -> int:
-    manifest = _manifest_for(args, "extract")
-    with StageTimer(manifest):
+    with _stage(args, "extract", args.out, [args.teacher, args.points], [args.out]):
         model = read_teacher(args.teacher)
-        points = read_emb(args.points)
-        manifest.record_input(args.teacher)
-        manifest.record_input(args.points)
-        write_emb(args.out, extract_features(model, points))
-        manifest.record_output(args.out)
-    write_manifest(f"{args.out}.extract.manifest.json", manifest)
+        write_emb(args.out, extract_features(model, read_emb(args.points)))
     return 0
 
 
 def cmd_recover(args) -> int:
     cfg = _config_from_args(args)
-    manifest = _manifest_for(args, "recover")
-    manifest.config = cfg.to_dict()
-    with StageTimer(manifest):
+    syn_emb, syn_labels, soft_emb, trace_csv = outputs = [
+        f"{args.out}.{suffix}" for suffix in ("syn.emb", "syn.labels.csv", "soft.emb",
+                                              "trace.csv")]
+    with _stage(args, "recover", args.out, [args.teacher, *_data_paths(args.data, "train")],
+                outputs, config=cfg.to_dict()):
         model = read_teacher(args.teacher)
-        train = _load_split(args.data, "train")
-        manifest.record_input(args.teacher)
-        for p in _data_paths(args.data, "train"):
-            manifest.record_input(p)
-        syn = recover(model, train, cfg)
+        syn = recover(model, _load_split(args.data, "train"), cfg)
         soft = relabel(model, syn, cfg.temperature)
-        outputs = {
-            f"{args.out}.syn.emb": lambda p: write_emb(p, syn.points),
-            f"{args.out}.syn.labels.csv": lambda p: write_labels(p, syn.labels),
-            f"{args.out}.soft.emb": lambda p: write_emb(p, soft.probs),
-            f"{args.out}.trace.csv": lambda p: Path(p).write_text(trace_to_csv(syn.trace)),
-        }
-        for path, writer in outputs.items():
-            writer(path)
-            manifest.record_output(path)
-    write_manifest(f"{args.out}.recover.manifest.json", manifest)
+        write_emb(syn_emb, syn.points)
+        write_labels(syn_labels, syn.labels)
+        write_emb(soft_emb, soft.probs)
+        Path(trace_csv).write_text(trace_to_csv(syn.trace))
     print(json.dumps({"iterations": syn.iterations,
                       "final_total": syn.final_loss.total}))
     return 0
 
 
 def cmd_relabel(args) -> int:
-    manifest = _manifest_for(args, "relabel")
-    with StageTimer(manifest):
+    with _stage(args, "relabel", args.out, [args.teacher, args.points], [args.out]):
         model = read_teacher(args.teacher)
-        points = read_emb(args.points)
-        manifest.record_input(args.teacher)
-        manifest.record_input(args.points)
-        soft = relabel(model, points, args.temperature)
-        write_emb(args.out, soft.probs)
-        manifest.record_output(args.out)
-    write_manifest(f"{args.out}.relabel.manifest.json", manifest)
+        write_emb(args.out, relabel(model, read_emb(args.points), args.temperature).probs)
     return 0
 
 
 def cmd_evaluate(args) -> int:
     hidden = _parse_hidden(args.hidden, "--hidden")
-    manifest = _manifest_for(args, "evaluate")
-    with StageTimer(manifest):
+    if not (args.soft or args.labels):
+        raise DireError("evaluate: need --labels or --soft")
+    train_labels = _data_paths(args.data, "train")[1]
+    # a class the test split lacks is still one of the dataset's classes
+    widen = args.labels and train_labels.exists()
+    inputs = [args.points, args.soft or args.labels, *_data_paths(args.data, "test")]
+    if widen:
+        inputs.append(train_labels)
+    with _stage(args, "evaluate", args.out, inputs, [args.out]):
         points = read_emb(args.points)
-        manifest.record_input(args.points)
-        if args.soft:
-            labels = SoftLabels(read_emb(args.soft), temperature=1.0)
-            manifest.record_input(args.soft)
-        elif args.labels:
-            labels = read_labels(args.labels)
-            manifest.record_input(args.labels)
-        else:
-            raise DireError("evaluate: need --labels or --soft")
+        labels = (SoftLabels(read_emb(args.soft), temperature=1.0) if args.soft
+                  else read_labels(args.labels))
         test = _load_split(args.data, "test")
-        for p in _data_paths(args.data, "test"):
-            manifest.record_input(p)
-        train_labels = _data_paths(args.data, "train")[1]
-        if args.labels and train_labels.exists():
-            # a class the test split lacks is still one of the dataset's classes
+        if widen:
             test.n_classes = max(test.n_classes, _class_count(read_labels(train_labels)))
-            manifest.record_input(train_labels)
-        acc = evaluate_student(points, labels, test,
-                               hidden_sizes=hidden,
+        acc = evaluate_student(points, labels, test, hidden_sizes=hidden,
                                epochs=args.epochs, lr=args.lr, seed=args.seed)
-    out = {"accuracy": acc, "n_train": int(points.shape[0]), "n_test": len(test)}
-    if args.out:
-        Path(args.out).write_text(json.dumps(out, indent=2) + "\n")
-        manifest.record_output(args.out)
-        write_manifest(f"{args.out}.evaluate.manifest.json", manifest)
+        out = {"accuracy": acc, "n_train": int(points.shape[0]), "n_test": len(test)}
+        if args.out:
+            Path(args.out).write_text(json.dumps(out, indent=2) + "\n")
     print(json.dumps(out))
     return 0
 
@@ -210,43 +193,34 @@ METRICS_CSV_HEADER = "method,ipc,coverage,similarity,vendi,k"
 
 
 def cmd_metrics(args) -> int:
-    real = EmbeddingSet.from_labeled(read_emb(args.real), read_labels(args.labels_real))
-    syn = EmbeddingSet.from_labeled(read_emb(args.syn), read_labels(args.labels_syn))
-    report = metrics_report(real, syn, k=args.k, coverage_scope=args.coverage_scope,
-                            vendi_scope=args.vendi_scope)
+    with _stage(args, "metrics", args.csv,
+                [args.real, args.labels_real, args.syn, args.labels_syn], [args.csv]):
+        real = EmbeddingSet.from_labeled(read_emb(args.real), read_labels(args.labels_real))
+        syn = EmbeddingSet.from_labeled(read_emb(args.syn), read_labels(args.labels_syn))
+        report = metrics_report(real, syn, k=args.k, coverage_scope=args.coverage_scope,
+                                vendi_scope=args.vendi_scope)
+        if args.csv:
+            path = Path(args.csv)
+            row = (f"{args.method},{args.ipc},{report.coverage:.9g},"
+                   f"{report.mean_intra_class_cosine:.9g},{report.vendi:.9g},{args.k}")
+            head = path.read_text() if path.exists() else METRICS_CSV_HEADER + "\n"
+            path.write_text(head + row + "\n")
     print(json.dumps(report.to_dict()))
-    if args.csv:
-        path = Path(args.csv)
-        row = (f"{args.method},{args.ipc},{report.coverage:.9g},"
-               f"{report.mean_intra_class_cosine:.9g},{report.vendi:.9g},{args.k}")
-        if path.exists():
-            path.write_text(path.read_text() + row + "\n")
-        else:
-            path.write_text(METRICS_CSV_HEADER + "\n" + row + "\n")
     return 0
 
 
 def cmd_ablate(args) -> int:
     student_hidden = _parse_hidden(args.student_hidden, "--student-hidden")
     cfg = _config_from_args(args)
-    manifest = _manifest_for(args, "ablate")
-    manifest.config = cfg.to_dict()
-    with StageTimer(manifest):
-        model = read_teacher(args.teacher)
-        train = _load_split(args.data, "train")
-        test = _load_split(args.data, "test")
-        manifest.record_input(args.teacher)
-        for split in ("train", "test"):
-            for p in _data_paths(args.data, split):
-                manifest.record_input(p)
-        report = ablate(model, train, test, cfg, k=args.k,
+    out_csv = f"{args.out}.ablation.csv"
+    inputs = [args.teacher, *_data_paths(args.data, "train"), *_data_paths(args.data, "test")]
+    with _stage(args, "ablate", args.out, inputs, [out_csv], config=cfg.to_dict()):
+        report = ablate(read_teacher(args.teacher), _load_split(args.data, "train"),
+                        _load_split(args.data, "test"), cfg, k=args.k,
                         student_hidden=student_hidden,
                         student_epochs=args.student_epochs,
                         student_lr=args.student_lr)
-        out_csv = f"{args.out}.ablation.csv"
         Path(out_csv).write_text(report.to_csv())
-        manifest.record_output(out_csv)
-    write_manifest(f"{args.out}.ablate.manifest.json", manifest)
     print(report.to_csv(), end="")
     return 0
 
@@ -259,33 +233,25 @@ def cmd_bench(args) -> int:
             raise DireError(f"bench: bad shape {part!r}, expected NxMxD")
         shapes.append(_parse_ints(dims, "--shapes"))
     kernels = _parse_components(args.kernels)
-    manifest = _manifest_for(args, "bench")
-    with StageTimer(manifest):
-        reports = bench_kernels(shapes, reps=args.reps, kernels=kernels,
-                                seed=args.seed)
-    csv_text = bench_to_csv(reports)
-    json_text = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
-    if args.out:
-        Path(f"{args.out}.bench.csv").write_text(csv_text)
-        Path(f"{args.out}.bench.json").write_text(json_text)
-        manifest.record_output(f"{args.out}.bench.csv")
-        manifest.record_output(f"{args.out}.bench.json")
-        write_manifest(f"{args.out}.bench.manifest.json", manifest)
+    csv_path, json_path = f"{args.out}.bench.csv", f"{args.out}.bench.json"
+    with _stage(args, "bench", args.out, (), [csv_path, json_path]):
+        reports = bench_kernels(shapes, reps=args.reps, kernels=kernels, seed=args.seed)
+        csv_text = bench_to_csv(reports)
+        if args.out:
+            Path(csv_path).write_text(csv_text)
+            Path(json_path).write_text(
+                json.dumps([r.to_dict() for r in reports], indent=2) + "\n")
     print(csv_text, end="")
     return 0
 
 
 def cmd_sweep(args) -> int:
     seeds = _parse_ints(args.seeds.split(","), "--seeds")
-    manifest = _manifest_for(args, "sweep")
-    with StageTimer(manifest):
+    csv_path, best_path = f"{args.out}.sweep.csv", f"{args.out}.sweep.best.json"
+    with _stage(args, "sweep", args.out, (), [csv_path, best_path]):
         report = weight_sweep(seeds=seeds)
-        Path(f"{args.out}.sweep.csv").write_text(report.to_csv())
-        Path(f"{args.out}.sweep.best.json").write_text(
-            json.dumps(report.best, indent=2) + "\n")
-        manifest.record_output(f"{args.out}.sweep.csv")
-        manifest.record_output(f"{args.out}.sweep.best.json")
-    write_manifest(f"{args.out}.sweep.manifest.json", manifest)
+        Path(csv_path).write_text(report.to_csv())
+        Path(best_path).write_text(json.dumps(report.best, indent=2) + "\n")
     print(json.dumps(report.best))
     return 0
 

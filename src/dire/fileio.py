@@ -3,9 +3,10 @@
 Matrices travel as EMB1, a little-endian binary with a fixed header
 (magic "EMB1", u16 format version, u32 rows, u32 cols) followed by
 rows*cols float64 values in row-major order; round-trips are bit-exact and
-non-finite payloads are rejected at write time. Teacher checkpoints use the
-DIRT container: layer dimensions and weights, the feature-layer index, and
-the stored feature statistics. Configs and manifests are JSON; labels are
+non-finite payloads are rejected at write and at read time. Teacher
+checkpoints use the DIRT container: layer dimensions and weights, the
+feature-layer index, and the stored feature statistics, none of which may
+be non-finite on read. Configs and manifests are JSON; labels are
 single-column CSV. Manifests record a 64-bit FNV-1a digest per input and
 output file so reruns can be checked for bit-identical artifacts.
 
@@ -20,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,6 +63,8 @@ def read_emb(path) -> np.ndarray:
         raise FormatError(
             f"{path}: payload truncated at byte offset {len(data)} (expected {expected})")
     payload = np.frombuffer(data, dtype="<f8", offset=EMB_HEADER.size)
+    if not np.isfinite(payload).all():
+        raise FormatError(f"{path}: non-finite value in payload")
     return payload.reshape(rows, cols).astype(np.float64)
 
 
@@ -120,6 +122,8 @@ def read_teacher(path) -> TeacherModel:
         if off + size > len(data):
             raise FormatError(f"{path}: truncated at byte offset {off}")
         arr = np.frombuffer(data, dtype="<f8", count=count, offset=off).astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: non-finite value in the block at byte offset {off}")
         off += size
         return arr
 
@@ -265,18 +269,3 @@ def read_manifest(path) -> dict:
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: malformed manifest JSON ({exc})") from exc
-
-
-class StageTimer:
-    """Context manager stamping wall time onto a manifest."""
-
-    def __init__(self, manifest: ExperimentManifest):
-        self.manifest = manifest
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self.manifest
-
-    def __exit__(self, *exc):
-        self.manifest.wall_time_s = time.perf_counter() - self._t0
-        return False

@@ -131,10 +131,6 @@ class SyntheticDataset:
     final_loss: SynthesisLoss | None = None
     trace: list = field(default_factory=list)
 
-    def ipc(self) -> int:
-        _, counts = np.unique(self.labels, return_counts=True)
-        return int(counts[0])
-
 
 TRACE_CSV_HEADER = "iter,l_ce,l_bn,cd,cdm,edm,total"
 

@@ -55,6 +55,8 @@ class SoftLabels:
 
     def __post_init__(self):
         self.probs = as_matrix(self.probs, "probs")
+        if not np.isfinite(self.probs).all():
+            raise ParameterError("SoftLabels: non-finite probability")
         if np.any(self.probs < 0):
             raise ParameterError("SoftLabels: negative probability")
         sums = self.probs.sum(axis=1)

@@ -27,6 +27,12 @@ def toy_data(tmp_path, capsys):
     return prefix
 
 
+def _write_nan_emb(path, rows, cols):
+    """An EMB1 file holding NaN, by hand: write_emb refuses non-finite values."""
+    payload = np.full((rows, cols), np.nan, dtype="<f8")
+    path.write_bytes(EMB_HEADER.pack(b"EMB1", 1, rows, cols) + payload.tobytes())
+
+
 def _inconsistent_checkpoint(path, stats_dim=10, second_in=10):
     """Write a DIRT file whose layers or stats disagree, bypassing the
     model's own checks."""
@@ -120,9 +126,8 @@ class TestUsageErrors:
 
     def test_non_finite_embedding_is_one_line_domain_error(self, capsys, tmp_path):
         real = rng_normal(Rng(3), 20, 4)
-        nan_emb = tmp_path / "syn.emb"  # by hand: write_emb refuses non-finite values
-        payload = np.full((4, 4), np.nan)
-        nan_emb.write_bytes(EMB_HEADER.pack(b"EMB1", 1, 4, 4) + payload.astype("<f8").tobytes())
+        nan_emb = tmp_path / "syn.emb"
+        _write_nan_emb(nan_emb, 4, 4)
         write_emb(tmp_path / "real.emb", real)
         write_labels(tmp_path / "real.csv", np.repeat([0, 1], 10))
         write_labels(tmp_path / "syn.csv", [0, 0, 1, 1])
@@ -132,6 +137,21 @@ class TestUsageErrors:
                                  "--labels-syn", str(tmp_path / "syn.csv"))
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "non-finite" in err
+
+    @pytest.mark.parametrize("flag", ["--points", "--soft"])
+    def test_non_finite_evaluate_input_names_the_file(self, capsys, tmp_path, toy_data,
+                                                      flag):
+        write_emb(tmp_path / "soft.emb", np.full((6, 3), 1.0 / 3.0))
+        nan_path = tmp_path / "nan.emb"
+        _write_nan_emb(nan_path, 6, 6 if flag == "--points" else 3)
+        files = {"--points": str(tmp_path / "p.emb"), "--soft": str(tmp_path / "soft.emb"),
+                 flag: str(nan_path)}
+        code, out, err = run_cli(capsys, "evaluate", "--points", files["--points"],
+                                 "--soft", files["--soft"], "--data", toy_data,
+                                 "--epochs", "0")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("dire: error:")
+        assert str(nan_path) in err and "non-finite" in err
 
 
 class TestEvaluateCommand:
@@ -297,3 +317,102 @@ class TestBenchCommand:
         code, _, err = run_cli(capsys, "bench", "--shapes", "16x16")
         assert code == 1
         assert "shape" in err
+
+
+@pytest.fixture(scope="module")
+def stage_world(tmp_path_factory):
+    """Inputs for every stage: a toy gen-data split, a teacher and a recover run."""
+    root = tmp_path_factory.mktemp("world")
+    assert main(["gen-data", "--classes", "3", "--dim", "6", "--per-class", "10",
+                 "--seed", "2", "--out", str(root / "toy")]) == 0
+    assert main(["squeeze", "--data", str(root / "toy"), "--hidden", "8", "--epochs", "3",
+                 "--seed", "2", "--out", str(root / "teacher.ckpt")]) == 0
+    assert main(["recover", "--teacher", str(root / "teacher.ckpt"), "--data",
+                 str(root / "toy"), "--ipc", "2", "--iters", "3", "--seed", "2",
+                 "--out", str(root / "run")]) == 0
+    return root
+
+
+TOY_TRAIN = ["{w}/toy.train.emb", "{w}/toy.train.labels.csv"]
+TOY_TEST = ["{w}/toy.test.emb", "{w}/toy.test.labels.csv"]
+TEACHER = "{w}/teacher.ckpt"
+# stage: (argv, manifest path, inputs, outputs); {w} is the world, {t} the test's dir
+STAGE_MANIFESTS = {
+    "gen-data": (["gen-data", "--classes", "3", "--dim", "6", "--per-class", "10",
+                  "--out", "{t}/g"], "{t}/g.gen-data.manifest.json", [],
+                 ["{t}/g.train.emb", "{t}/g.train.labels.csv",
+                  "{t}/g.test.emb", "{t}/g.test.labels.csv"]),
+    "squeeze": (["squeeze", "--data", "{w}/toy", "--hidden", "4", "--epochs", "1",
+                 "--out", "{t}/t.ckpt"], "{t}/t.ckpt.squeeze.manifest.json",
+                TOY_TRAIN, ["{t}/t.ckpt"]),
+    "extract": (["extract", "--teacher", TEACHER, "--points", "{w}/run.syn.emb",
+                 "--out", "{t}/f.emb"], "{t}/f.emb.extract.manifest.json",
+                [TEACHER, "{w}/run.syn.emb"], ["{t}/f.emb"]),
+    "recover": (["recover", "--teacher", TEACHER, "--data", "{w}/toy", "--ipc", "1",
+                 "--iters", "2", "--out", "{t}/r"], "{t}/r.recover.manifest.json",
+                [TEACHER, *TOY_TRAIN],
+                ["{t}/r.syn.emb", "{t}/r.syn.labels.csv", "{t}/r.soft.emb",
+                 "{t}/r.trace.csv"]),
+    "relabel": (["relabel", "--teacher", TEACHER, "--points", "{w}/run.syn.emb",
+                 "--out", "{t}/s.emb"], "{t}/s.emb.relabel.manifest.json",
+                [TEACHER, "{w}/run.syn.emb"], ["{t}/s.emb"]),
+    "evaluate-soft": (["evaluate", "--points", "{w}/run.syn.emb", "--soft", "{w}/run.soft.emb",
+                       "--data", "{w}/toy", "--epochs", "2", "--out", "{t}/e.json"],
+                      "{t}/e.json.evaluate.manifest.json",
+                      ["{w}/run.syn.emb", "{w}/run.soft.emb", *TOY_TEST], ["{t}/e.json"]),
+    "evaluate-labels": (["evaluate", "--points", "{w}/run.syn.emb",
+                         "--labels", "{w}/run.syn.labels.csv", "--data", "{w}/toy",
+                         "--epochs", "2", "--out", "{t}/e.json"],
+                        "{t}/e.json.evaluate.manifest.json",
+                        ["{w}/run.syn.emb", "{w}/run.syn.labels.csv", *TOY_TEST,
+                         "{w}/toy.train.labels.csv"], ["{t}/e.json"]),
+    "metrics": (["metrics", "--real", "{w}/toy.train.emb", "--syn", "{w}/run.syn.emb",
+                 "--labels-real", "{w}/toy.train.labels.csv",
+                 "--labels-syn", "{w}/run.syn.labels.csv", "-k", "3", "--csv", "{t}/m.csv"],
+                "{t}/m.csv.metrics.manifest.json",
+                ["{w}/toy.train.emb", "{w}/run.syn.emb", "{w}/toy.train.labels.csv",
+                 "{w}/run.syn.labels.csv"], ["{t}/m.csv"]),
+    "ablate": (["ablate", "--teacher", TEACHER, "--data", "{w}/toy", "--ipc", "2",
+                "--iters", "2", "-k", "3", "--student-epochs", "1", "--out", "{t}/a"],
+               "{t}/a.ablate.manifest.json", [TEACHER, *TOY_TRAIN, *TOY_TEST],
+               ["{t}/a.ablation.csv"]),
+    "bench": (["bench", "--shapes", "8x8x4", "--reps", "3", "--kernels", "cosine",
+               "--out", "{t}/b"], "{t}/b.bench.manifest.json", [],
+              ["{t}/b.bench.csv", "{t}/b.bench.json"]),
+}
+MANIFEST_FIELDS = {"argv", "config", "inputs", "outputs", "subcommand", "tool_version",
+                   "wall_time_s"}
+
+
+def _fill(templates, world, tmp):
+    return [s.format(w=world, t=tmp) for s in templates]
+
+
+class TestStageManifests:
+    @pytest.mark.parametrize("stage", sorted(STAGE_MANIFESTS))
+    def test_manifest_records_exactly_what_the_stage_read_and_wrote(
+            self, capsys, stage_world, tmp_path, stage):
+        argv, path, inputs, outputs = STAGE_MANIFESTS[stage]
+        argv = _fill(argv, stage_world, tmp_path)
+        assert main(argv) == 0
+        capsys.readouterr()
+        manifest = read_manifest(path.format(w=stage_world, t=tmp_path))
+        assert set(manifest) == MANIFEST_FIELDS
+        assert manifest["subcommand"] == argv[0] and manifest["argv"] == argv
+        assert (manifest["config"] is not None) == (argv[0] in ("recover", "ablate"))
+        for kind, want in (("inputs", inputs), ("outputs", outputs)):
+            assert sorted(manifest[kind]) == sorted(_fill(want, stage_world, tmp_path))
+            for file, digest in manifest[kind].items():
+                assert digest == digest_file(file)
+        assert manifest["wall_time_s"] > 0
+
+    @pytest.mark.parametrize("stage", ["evaluate-soft", "metrics", "bench"])
+    def test_no_output_prefix_writes_no_manifest(self, capsys, stage_world, tmp_path,
+                                                 stage):
+        argv = _fill(STAGE_MANIFESTS[stage][0], stage_world, tmp_path)
+        cut = argv.index("--csv" if stage == "metrics" else "--out")
+        before = sorted(stage_world.glob("*.manifest.json"))
+        assert main(argv[:cut] + argv[cut + 2:]) == 0
+        capsys.readouterr()
+        assert sorted(stage_world.glob("*.manifest.json")) == before
+        assert list(tmp_path.iterdir()) == []

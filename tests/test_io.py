@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dire import (ConfigError, FormatError, ParameterError, Rng, RunConfig,
-                  digest_file, dump_config, extract_features, fnv1a64,
+from dire import (ConfigError, DireError, FormatError, ParameterError, Rng,
+                  RunConfig, digest_file, dump_config, extract_features, fnv1a64,
                   gen_mixture, load_config, read_emb, read_labels,
                   read_teacher, rng_normal, squeeze_train, write_emb,
                   write_labels, write_teacher)
@@ -59,6 +59,15 @@ class TestEmbFormat:
         with pytest.raises(ParameterError):
             write_emb(tmp_path / "nan.emb", m)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_at_read_naming_file(self, tmp_path, bad):
+        path = tmp_path / "bad.emb"  # by hand: write_emb refuses non-finite values
+        payload = np.array([[1.0, 2.0], [3.0, bad]], dtype="<f8")
+        path.write_bytes(EMB_HEADER.pack(b"EMB1", 1, 2, 2) + payload.tobytes())
+        with pytest.raises(FormatError, match="non-finite") as exc:
+            read_emb(path)
+        assert str(path) in str(exc.value)
+
 
 class TestLabelsCsv:
     def test_roundtrip(self, tmp_path):
@@ -100,6 +109,15 @@ class TestTeacherCheckpoint:
         write_teacher(path, model)
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(FormatError, match="truncated"):
+            read_teacher(path)
+
+    def test_non_finite_weight_rejected_at_read(self, tmp_path):
+        train, _ = gen_mixture(2, 4, 20, 0.2, seed=2)
+        model = squeeze_train(train, (6,), epochs=2, lr=0.1, seed=2)
+        model.biases[0][1] = np.nan
+        path = tmp_path / "t.ckpt"
+        write_teacher(path, model)
+        with pytest.raises(FormatError, match="non-finite"):
             read_teacher(path)
 
     def test_stats_required_for_write(self, tmp_path):
@@ -164,6 +182,53 @@ class TestConfig:
         loaded = load_config(path)
         assert loaded == cfg
         assert dump_config(loaded) == dump_config(cfg)
+
+
+CONFIG_KEYS = st.sampled_from(sorted(RunConfig().to_dict())) | st.text(max_size=8)
+JSON_VALUES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+               | st.lists(st.text(max_size=4) | st.integers(), max_size=3))
+
+
+@pytest.fixture(scope="module")
+def clean_files(tmp_path_factory):
+    """A scratch dir and one well-formed file per reader: {kind: (reader, bytes)}."""
+    root = tmp_path_factory.mktemp("clean")
+    train, _ = gen_mixture(2, 3, 10, 0.2, seed=4)
+    write_teacher(root / "t.ckpt", squeeze_train(train, (4,), epochs=1, lr=0.1, seed=4))
+    write_emb(root / "m.emb", rng_normal(Rng(4), 3, 2))
+    return root, {"dirt": (read_teacher, (root / "t.ckpt").read_bytes()),
+                  "emb": (read_emb, (root / "m.emb").read_bytes())}
+
+
+class TestCorruptInputProperties:
+    """Whatever a config or a file holds, readers fail only with DireError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(CONFIG_KEYS, JSON_VALUES, max_size=4))
+    def test_config_from_dict_raises_only_dire_errors(self, raw):
+        try:
+            RunConfig.from_dict(raw)
+        except DireError:
+            pass
+
+    @pytest.mark.parametrize("kind", ["dirt", "emb"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_truncated_or_bit_flipped_file_raises_only_dire_errors(self, clean_files,
+                                                                    kind, data):
+        root, files = clean_files
+        reader, clean = files[kind]
+        corrupt = bytearray(clean[:data.draw(st.integers(0, len(clean)), label="cut")])
+        for bit in data.draw(st.lists(st.integers(0, 8 * len(clean) - 1), max_size=3),
+                             label="flips"):
+            if bit // 8 < len(corrupt):
+                corrupt[bit // 8] ^= 1 << (bit % 8)
+        path = root / f"corrupt.{kind}"
+        path.write_bytes(bytes(corrupt))
+        try:
+            reader(path)
+        except DireError:
+            pass
 
 
 def _fnv1a64_oracle(data: bytes) -> int:

@@ -2,9 +2,71 @@ import numpy as np
 import pytest
 
 from dire import (DimensionError, EmbeddingSet, NumericalError, ParameterError,
-                  Rng, coverage, intra_class_cosine, metrics_report,
-                  pairwise_cosine_matrix, rng_normal, row_l2_normalize, sym_eig,
-                  sym_eigenvalues, vendi_score)
+                  Rng, as_matrix, coverage, intra_class_cosine, metrics_report,
+                  pairwise_cosine_matrix, rng_normal, row_l2_normalize,
+                  vendi_score)
+
+
+def jacobi(s: np.ndarray, max_sweeps: int = 100, tol: float = 1e-12):
+    """Cyclic Jacobi rotations on a symmetric matrix.
+
+    Returns (eigenvalues, eigenvectors-as-columns), unsorted. Converges when
+    the off-diagonal Frobenius norm drops below tol * |S|_F; raises after
+    max_sweeps otherwise.
+    """
+    a = s.copy()
+    n = a.shape[0]
+    v = np.eye(n)
+    if n == 1:
+        return np.array([a[0, 0]]), v
+    scale = max(float(np.linalg.norm(s)), np.finfo(np.float64).tiny)
+    diag_mask = ~np.eye(n, dtype=bool)
+    for _ in range(max_sweeps):
+        # norm over off-diagonal entries only; the sum-minus-diagonal form
+        # cancels catastrophically and floors around |S| * sqrt(eps)
+        off = float(np.sqrt(np.sum(a[diag_mask] ** 2)))
+        if off < tol * scale:
+            return np.diag(a).copy(), v
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                # stable rotation angle: tan(2θ) = 2 a_pq / (a_qq - a_pp)
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = np.sign(theta) if theta != 0 else 1.0
+                t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                sn = t * c
+                row_p, row_q = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * row_p - sn * row_q
+                a[q, :] = sn * row_p + c * row_q
+                col_p, col_q = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * col_p - sn * col_q
+                a[:, q] = sn * col_p + c * col_q
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                vp, vq = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vp - sn * vq
+                v[:, q] = sn * vp + c * vq
+    raise NumericalError(f"jacobi eigensolver: no convergence in {max_sweeps} sweeps")
+
+
+def sym_eig(s, max_sweeps: int = 100):
+    """Eigenvalues (descending) and matching eigenvector columns of the
+    symmetrized input (S + S^T)/2, by cyclic Jacobi: Vendi's oracle."""
+    s = as_matrix(s, "S")
+    if s.shape[0] != s.shape[1]:
+        raise DimensionError(f"sym_eig: matrix must be square, got {s.shape}")
+    sym = 0.5 * (s + s.T)
+    vals, vecs = jacobi(sym, max_sweeps=max_sweeps)
+    order = np.argsort(vals)[::-1]
+    return vals[order], vecs[:, order]
+
+
+def sym_eigenvalues(s, max_sweeps: int = 100) -> np.ndarray:
+    """All eigenvalues of the symmetrized input, in descending order."""
+    return sym_eig(s, max_sweeps=max_sweeps)[0]
 
 
 def oracle_vendi(emb):

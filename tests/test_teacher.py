@@ -236,3 +236,8 @@ class TestEvaluateStudent:
         bad = np.array([[0.5, 0.4]])
         with pytest.raises(ParameterError):
             SoftLabels(bad, temperature=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_soft_labels_rejected(self, bad):
+        with pytest.raises(ParameterError, match="non-finite"):
+            SoftLabels(np.array([[0.5, 0.5], [bad, 0.0]]), temperature=1.0)
