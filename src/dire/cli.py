@@ -168,8 +168,9 @@ def cmd_evaluate(args) -> int:
     if not (args.soft or args.labels):
         raise DireError("evaluate: need --labels or --soft")
     train_labels = _data_paths(args.data, "train")[1]
-    # a class the test split lacks is still one of the dataset's classes
-    widen = args.labels and train_labels.exists()
+    # a class the test split lacks is still one of the dataset's classes;
+    # only hard labels need the count, since --soft wins over --labels
+    widen = not args.soft and args.labels and train_labels.exists()
     inputs = [args.points, args.soft or args.labels, *_data_paths(args.data, "test")]
     if widen:
         inputs.append(train_labels)

@@ -9,14 +9,9 @@ from .matrix import as_matrix, Rng
 
 
 class EmbeddingSet:
-    """Embeddings grouped by integer class id.
+    """Embeddings grouped by integer class id."""
 
-    Keeps the original row indices of each class so gradients computed on
-    the grouped view can be scattered back to the caller's row order.
-    """
-
-    def __init__(self, by_class: dict[int, np.ndarray],
-                 rows: dict[int, np.ndarray] | None = None):
+    def __init__(self, by_class: dict[int, np.ndarray]):
         if not by_class:
             raise ParameterError("EmbeddingSet: no classes")
         self.by_class = {int(c): as_matrix(m, f"class {c}") for c, m in by_class.items()}
@@ -24,9 +19,6 @@ class EmbeddingSet:
         if len(dims) != 1:
             raise DimensionError(f"EmbeddingSet: mixed feature dims {sorted(dims)}")
         self.dim = dims.pop()
-        self.rows = None
-        if rows is not None:
-            self.rows = {int(c): np.asarray(ix, dtype=np.int64) for c, ix in rows.items()}
 
     @classmethod
     def from_labeled(cls, emb, labels) -> "EmbeddingSet":
@@ -35,12 +27,7 @@ class EmbeddingSet:
         if labels.ndim != 1 or labels.shape[0] != emb.shape[0]:
             raise DimensionError(
                 f"EmbeddingSet: {emb.shape[0]} embeddings vs {labels.shape} labels")
-        by_class, rows = {}, {}
-        for c in np.unique(labels):
-            ix = np.nonzero(labels == c)[0]
-            by_class[int(c)] = emb[ix]
-            rows[int(c)] = ix
-        return cls(by_class, rows)
+        return cls({int(c): emb[labels == c] for c in np.unique(labels)})
 
     def classes(self) -> list[int]:
         return sorted(self.by_class)

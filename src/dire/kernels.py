@@ -63,11 +63,12 @@ def _euclid_rows(a_rows, bt, na2_rows, nb2):
     """Distance rows |a_i - b_j| of one row block from the |a|^2 + |b|^2 -
     2<a,b> expansion, negative radicands clamped to 0. Every blocked
     Euclidean kernel goes through this one sequence on the same row blocks,
-    so they agree bit for bit."""
+    so they agree bit for bit. Leading axes broadcast as a stack: (C, K, F)
+    rows against (C, F, R) columns give (C, K, R) distances."""
     g = a_rows @ bt
     g *= -2.0
-    g += na2_rows[:, None]
-    g += nb2[None, :]
+    g += na2_rows[..., None]
+    g += nb2[..., None, :]
     np.maximum(g, 0.0, out=g)
     np.sqrt(g, out=g)
     return g

@@ -25,6 +25,16 @@ orders. Rows under the norm floor get a zero cosine gradient, as any other
 subgradient choice would explode. Each distance term differentiates to
 (x - y)/|x - y| with a 1e-12 denominator floor (zero gradient at coincident
 pairs).
+
+`batched_dire_loss` is the form `recover` runs: all classes at once on a
+(C, K, F) block of synthetic embeddings against a `RealSide` prepared once
+per run. The real side is zero-padded to the largest class with a row mask;
+zero rows add nothing to the unit sums t_c, and the mask takes the padding
+out of the EDM distances, their inverses and the per-class divisors. By
+linearity the CD and CDM gradients are one cosine gradient with the
+direction r_c (2 a_cd s_c - a_cdm t_c), a_* being the reduction's divisors.
+`cd_loss`, `cdm_loss`, `edm_loss` and `dire_loss` compute the same terms
+class by class and serve as its oracles.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet
 from .errors import ParameterError
-from .kernels import pairwise_euclidean_matrix
+from .kernels import _euclid_rows, pairwise_euclidean_matrix
 from .matrix import as_matrix
 
 EDM_DIST_FLOOR = 1e-12
@@ -196,6 +206,88 @@ def dire_loss(e_syn: EmbeddingSet, e_real: EmbeddingSet, w: DireWeights,
     total = LossBreakdown(cd=tot_cd, cdm=tot_cdm, edm=tot_edm, l_syn=tot_syn,
                           grad=np.vstack(grads))
     return per_class, total
+
+
+@dataclass
+class RealSide:
+    """Real embeddings of C classes, prepared once for `batched_dire_loss`.
+
+    `y` is the (C, R, F) block zero-padded to the largest class, `mask` its
+    (C, R) row mask (1 on real rows), `yt` the contiguous (C, F, R)
+    transpose for the distance GEMM, `ny2` the squared row norms and `t` the
+    (C, F) sums of the unit rows.
+    """
+    y: np.ndarray
+    yt: np.ndarray
+    ny2: np.ndarray
+    mask: np.ndarray
+    t: np.ndarray
+
+    @classmethod
+    def prepare(cls, e_real: EmbeddingSet, classes) -> "RealSide":
+        """Classes in the given order, all of `e_real`'s rows for each."""
+        for c in classes:
+            if c not in e_real:
+                raise ParameterError(f"RealSide: class {c} missing from real embeddings")
+        blocks = [e_real[c] for c in classes]
+        y = np.zeros((len(blocks), max(b.shape[0] for b in blocks), e_real.dim))
+        mask = np.zeros(y.shape[:2])
+        for i, b in enumerate(blocks):
+            y[i, :b.shape[0]] = b
+            mask[i, :b.shape[0]] = 1.0
+        unit = _unit_rows(y.reshape(-1, y.shape[2]))[0].reshape(y.shape)
+        return cls(y=y, yt=y.transpose(0, 2, 1).copy(),
+                   ny2=np.einsum("crf,crf->cr", y, y), mask=mask, t=unit.sum(axis=1))
+
+
+def batched_dire_loss(x: np.ndarray, real: RealSide, w: DireWeights,
+                      components, grad: np.ndarray):
+    """The regularizer over all classes at once.
+
+    `x` is the (C, K, F) block of synthetic embeddings, class i against row
+    i of `real`. Adds the gradient into `grad` (C, K, F) in place and
+    returns the totals (cd, cdm, edm, l_syn) over classes, the values
+    `dire_loss` gives up to rounding.
+    """
+    if x.shape[0] != real.y.shape[0] or x.shape[2] != real.y.shape[2]:
+        raise ParameterError(
+            f"batched_dire_loss: synthetic block {x.shape} vs real block {real.y.shape}")
+    k = x.shape[1]
+    # reduction divisors of the synthetic x real terms, per class
+    per_pair = (1.0 / (k * real.mask.sum(axis=1)) if w.reduction == "mean"
+                else np.ones(x.shape[0]))
+    cd = cdm = edm = 0.0
+    if "cd" in components or "cdm" in components:
+        unit, inv = _unit_rows(x.reshape(-1, x.shape[2]))
+        unit, inv = unit.reshape(x.shape), inv.reshape(x.shape[:2])
+        s = unit.sum(axis=1)
+        direction = np.zeros_like(s)
+        if "cd" in components:
+            pairs = k * k if w.include_diagonal_cd else k * k - k
+            a = 1.0 if w.reduction == "sum" else (1.0 / pairs if pairs else 0.0)
+            raw = np.einsum("cf,cf->c", s, s)
+            if not w.include_diagonal_cd:
+                raw -= np.count_nonzero(inv, axis=1)
+            cd = float(raw.sum()) * a
+            direction += (2.0 * a) * s
+        if "cdm" in components:
+            cdm = float(np.sum(1.0 - np.einsum("cf,cf->c", s, real.t) * per_pair))
+            direction -= per_pair[:, None] * real.t
+        direction *= w.r_c
+        along = np.einsum("ckf,cf->ck", unit, direction)
+        grad += inv[..., None] * (direction[:, None, :] - along[..., None] * unit)
+    if "edm" in components:
+        d = _euclid_rows(x, real.yt, np.einsum("ckf,ckf->ck", x, x), real.ny2)
+        mask = real.mask[:, None, :]
+        d *= mask
+        edm = float(d.sum(axis=(1, 2)) @ per_pair)
+        np.maximum(d, EDM_DIST_FLOOR, out=d)
+        np.divide(mask, d, out=d)  # 1/|x_i - y_j| on real pairs, 0 on padding
+        g = x * d.sum(axis=2)[..., None]
+        g -= d @ real.y
+        g *= (w.r_e * per_pair)[:, None, None]
+        grad += g
+    return cd, cdm, edm, w.r_c * (cd + cdm) + w.r_e * edm
 
 
 def finite_diff_grad(value_fn, e, h: float = 1e-5) -> np.ndarray:

@@ -8,9 +8,9 @@ per class, class-blocked), each iteration descends the total objective
 where L_ce is mean teacher cross-entropy against the hard labels, L_bn
 matches batch feature statistics to the statistics stored at squeeze time,
 and L_syn is the diversity regularizer with any subset of its components
-enabled. Real embeddings are extracted once up front (the teacher is
-frozen); all gradients flow to the synthetic points through the teacher's
-explicit backward pass.
+enabled. Real embeddings are extracted, capped and prepared once up front
+(the teacher is frozen); all gradients flow to the synthetic points through
+the teacher's explicit backward pass.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import EmbeddingSet
-from .errors import ConfigError, NumericalError, ParameterError
-from .losses import ALL_COMPONENTS, DireWeights, dire_loss
+from .errors import ConfigError, DimensionError, NumericalError, ParameterError
+from .losses import ALL_COMPONENTS, DireWeights, RealSide, batched_dire_loss
 from .matrix import Rng, rng_normal
 from .teacher import (LabeledDataset, TeacherModel, _cross_entropy_and_dlogits,
                       extract_features, forward_activations, input_gradient)
@@ -143,49 +143,80 @@ def trace_to_csv(trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Objective:
+    """L_total = L_ce + L_bn + L_syn over constants prepared once: the
+    checked labels, the class layout and, when the regularizer is on, the
+    padded real side. Calling it on the synthetic points returns
+    (SynthesisLoss, gradient w.r.t. the points)."""
+
+    def __init__(self, teacher: TeacherModel, hard_labels, e_real: EmbeddingSet,
+                 cfg: RunConfig):
+        if teacher.feature_mean is None or teacher.feature_var is None:
+            raise ParameterError("total_loss_and_grad: teacher has no stored feature stats")
+        labels = np.asarray(hard_labels, dtype=np.int64)
+        if (labels.ndim != 1 or labels.size == 0 or labels.min() < 0
+                or labels.max() >= teacher.n_classes):
+            raise ParameterError("total_loss_and_grad: labels must be a non-empty 1-D "
+                                 f"array in [0, {teacher.n_classes})")
+        classes = np.unique(labels)
+        self.k = labels.size // classes.size
+        # the regularizer reshapes features to (C, K, F): never mix classes
+        if not np.array_equal(labels, np.repeat(classes, self.k)):
+            raise ParameterError("total_loss_and_grad: labels must be class-blocked "
+                                 "with an equal count per class")
+        self.teacher, self.cfg, self.labels = teacher, cfg, labels
+        self.real = None
+        if cfg.components and (cfg.r_c > 0 or cfg.r_e > 0):
+            self.real = RealSide.prepare(e_real, classes.tolist())
+            self.weights = cfg.dire_weights()
+
+    def __call__(self, s_points):
+        teacher, cfg = self.teacher, self.cfg
+        acts = forward_activations(teacher, s_points)
+        feats = acts[teacher.feature_layer]
+        n = feats.shape[0]
+        if n != self.labels.size:
+            raise DimensionError(
+                f"total_loss_and_grad: {n} points vs {self.labels.size} labels")
+
+        l_ce, dlogits = _cross_entropy_and_dlogits(acts[-1], self.labels)
+
+        mu = feats.mean(axis=0)
+        var = feats.var(axis=0)
+        dmu = mu - teacher.feature_mean
+        dvar = var - teacher.feature_var
+        l_bn = cfg.lambda_bn * float(np.sum(dmu ** 2) + np.sum(dvar ** 2))
+        dfeats = cfg.lambda_bn * (2.0 * dmu / n + 4.0 * dvar * (feats - mu) / n)
+
+        if self.real is not None:
+            shape = (-1, self.k, feats.shape[1])
+            cd, cdm, edm, l_syn = batched_dire_loss(
+                feats.reshape(shape), self.real, self.weights, cfg.components,
+                dfeats.reshape(shape))
+        else:
+            cd = cdm = edm = l_syn = 0.0
+
+        loss = SynthesisLoss(l_ce=l_ce, l_bn=l_bn, cd=cd, cdm=cdm, edm=edm,
+                             l_syn=l_syn, total=l_ce + l_bn + l_syn)
+        for name, v in (("l_ce", l_ce), ("l_bn", l_bn), ("l_syn", l_syn)):
+            if not np.isfinite(v):
+                raise NumericalError(f"total_loss_and_grad: non-finite {name}")
+        grad = input_gradient(teacher, acts, dlogits=dlogits, dfeatures=dfeats)
+        return loss, grad
+
+
 def total_loss_and_grad(teacher: TeacherModel, s_points, hard_labels,
                         e_real: EmbeddingSet, cfg: RunConfig):
     """Assemble L_ce + L_bn + L_syn on the current synthetic points.
 
     Returns (SynthesisLoss, gradient w.r.t. s_points). The statistics term
-    couples the full batch; the regularizer is evaluated per class on the
-    feature-layer activations against all of `e_real` (cfg.real_cap is
-    applied by `recover`, not here) and scattered back to point order.
+    couples the full batch; the regularizer is evaluated on the
+    feature-layer activations, all classes at once, against all of `e_real`
+    (cfg.real_cap is applied by `recover`, not here). Labels must be
+    class-blocked with an equal count per class, as `class_blocked_labels`
+    makes them. `recover` prepares the constants once and reuses them.
     """
-    if teacher.feature_mean is None or teacher.feature_var is None:
-        raise ParameterError("total_loss_and_grad: teacher has no stored feature stats")
-    hard_labels = np.asarray(hard_labels, dtype=np.int64)
-    acts = forward_activations(teacher, s_points)
-    logits = acts[-1]
-    feats = acts[teacher.feature_layer]
-    n = feats.shape[0]
-
-    l_ce, dlogits = _cross_entropy_and_dlogits(logits, hard_labels)
-
-    mu = feats.mean(axis=0)
-    var = feats.var(axis=0)
-    dmu = mu - teacher.feature_mean
-    dvar = var - teacher.feature_var
-    l_bn = cfg.lambda_bn * float(np.sum(dmu ** 2) + np.sum(dvar ** 2))
-    dfeats = cfg.lambda_bn * (2.0 * dmu / n + 4.0 * dvar * (feats - mu) / n)
-
-    if cfg.components and (cfg.r_c > 0 or cfg.r_e > 0):
-        e_syn = EmbeddingSet.from_labeled(feats, hard_labels)
-        per_class, total = dire_loss(e_syn, e_real, cfg.dire_weights(),
-                                     components=cfg.components)
-        for c, breakdown in per_class.items():
-            dfeats[e_syn.rows[c]] += breakdown.grad
-        cd, cdm, edm, l_syn = total.cd, total.cdm, total.edm, total.l_syn
-    else:
-        cd = cdm = edm = l_syn = 0.0
-
-    loss = SynthesisLoss(l_ce=l_ce, l_bn=l_bn, cd=cd, cdm=cdm, edm=edm,
-                         l_syn=l_syn, total=l_ce + l_bn + l_syn)
-    for name, v in (("l_ce", l_ce), ("l_bn", l_bn), ("l_syn", l_syn)):
-        if not np.isfinite(v):
-            raise NumericalError(f"total_loss_and_grad: non-finite {name}")
-    grad = input_gradient(teacher, acts, dlogits=dlogits, dfeatures=dfeats)
-    return loss, grad
+    return _Objective(teacher, hard_labels, e_real, cfg)(s_points)
 
 
 def class_blocked_labels(n_classes: int, ipc: int) -> np.ndarray:
@@ -207,12 +238,14 @@ def recover(teacher: TeacherModel, real_train: LabeledDataset,
     e_real = EmbeddingSet.from_labeled(real_emb, real_train.labels).subsample(
         cfg.real_cap, Rng(cfg.seed))
 
+    objective = _Objective(teacher, labels, e_real, cfg)
+
     velocity = np.zeros_like(points)
     trace = []
     loss = None
     for t in range(1, cfg.iters + 1):
         try:
-            loss, grad = total_loss_and_grad(teacher, points, labels, e_real, cfg)
+            loss, grad = objective(points)
         except NumericalError as exc:
             raise NumericalError(f"recover: iteration {t}: {exc}") from exc
         if cfg.optimizer == "momentum":

@@ -234,49 +234,68 @@ def extract_features_vjp(model: TeacherModel, x, upstream) -> np.ndarray:
     return input_gradient(model, acts, dfeatures=upstream)
 
 
-def _cross_entropy_and_dlogits(logits, targets):
-    """Mean cross-entropy and its logits gradient. Integer targets are
-    treated as hard labels, a matrix as a row-stochastic soft distribution."""
-    n = logits.shape[0]
-    z = logits - logits.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+def _cross_entropy_and_dlogits(logits, targets, want_loss=True):
+    """Mean softmax cross-entropy and its logits gradient, computed in place:
+    `logits` is overwritten by the gradient, which is returned. Targets are
+    row-stochastic soft distributions; integer targets are hard labels and
+    become one-hot rows. With want_loss=False the loss is None."""
     if targets.ndim == 1:
-        loss = -float(log_probs[np.arange(n), targets].mean())
-        onehot = np.zeros_like(logits)
-        onehot[np.arange(n), targets] = 1.0
-        dlogits = (np.exp(log_probs) - onehot) / n
-    else:
-        loss = -float((targets * log_probs).sum(axis=1).mean())
-        dlogits = (np.exp(log_probs) - targets) / n
-    return loss, dlogits
+        targets = np.eye(logits.shape[1])[targets]
+    n = logits.shape[0]
+    z = logits
+    z -= z.max(axis=1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))  # log-probabilities
+    loss = -float((targets * z).sum(axis=1).mean()) if want_loss else None
+    np.exp(z, out=z)
+    z -= targets
+    z /= n
+    return loss, z
 
 
 def _sgd_train(points, targets, dim, hidden_sizes, n_classes, epochs, lr,
                seed, batch_size):
+    """Minibatch SGD on mean softmax cross-entropy against hard labels or
+    soft target rows. Each epoch gathers its shuffled rows and target rows
+    once; each step runs the forward pass, the CE gradient and the backward
+    pass with in-place elementwise ops, in the floating-point order of
+    forward_activations and input_gradient. Weights are checked for
+    finiteness once per epoch."""
     if batch_size < 1:
         raise ParameterError(f"training: batch_size must be >= 1, got {batch_size}")
     weights, biases = init_mlp(dim, hidden_sizes, n_classes, seed)
-    model = TeacherModel(weights, biases, feature_layer=len(hidden_sizes))
+    if targets.ndim == 1:
+        targets = np.eye(n_classes)[targets]
     n = points.shape[0]
     shuffle = Rng(seed).split(1000)
     for epoch in range(epochs):
         order = shuffle.split(epoch).generator.permutation(n)
+        xs, ts = points[order], targets[order]
         for lo in range(0, n, batch_size):
-            ix = order[lo:lo + batch_size]
-            acts = forward_activations(model, points[ix])
-            tgt = targets[ix]
-            loss, dlogits = _cross_entropy_and_dlogits(acts[-1], tgt)
-            if not np.isfinite(loss):
-                raise TrainingError(f"training diverged at epoch {epoch}")
-            g = dlogits
-            for layer in range(len(model.weights) - 1, -1, -1):
+            acts = [xs[lo:lo + batch_size]]
+            for w, b in zip(weights[:-1], biases[:-1]):
+                z = acts[-1] @ w
+                z += b
+                acts.append(np.tanh(z, out=z))
+            logits = acts[-1] @ weights[-1]
+            logits += biases[-1]
+            _, g = _cross_entropy_and_dlogits(logits, ts[lo:lo + batch_size],
+                                              want_loss=False)
+            for layer in range(len(weights) - 1, -1, -1):
                 dw = acts[layer].T @ g
                 db = g.sum(axis=0)
                 if layer > 0:  # propagate through pre-update weights
-                    g = (g @ model.weights[layer].T) * (1.0 - acts[layer] ** 2)
-                model.weights[layer] -= lr * dw
-                model.biases[layer] -= lr * db
-    return model
+                    slope = acts[layer]
+                    np.multiply(slope, slope, out=slope)
+                    np.subtract(1.0, slope, out=slope)
+                    g = g @ weights[layer].T
+                    g *= slope
+                dw *= lr
+                weights[layer] -= dw
+                db *= lr
+                biases[layer] -= db
+        if not all(np.isfinite(p).all() for p in weights + biases):
+            raise TrainingError(f"training diverged at epoch {epoch}")
+    return TeacherModel(weights, biases, feature_layer=len(hidden_sizes))
 
 
 def model_accuracy(model: TeacherModel, data: LabeledDataset) -> float:

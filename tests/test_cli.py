@@ -366,6 +366,11 @@ STAGE_MANIFESTS = {
                         "{t}/e.json.evaluate.manifest.json",
                         ["{w}/run.syn.emb", "{w}/run.syn.labels.csv", *TOY_TEST,
                          "{w}/toy.train.labels.csv"], ["{t}/e.json"]),
+    "evaluate-both": (["evaluate", "--points", "{w}/run.syn.emb", "--soft", "{w}/run.soft.emb",
+                       "--labels", "{w}/run.syn.labels.csv", "--data", "{w}/toy",
+                       "--epochs", "2", "--out", "{t}/e.json"],
+                      "{t}/e.json.evaluate.manifest.json",
+                      ["{w}/run.syn.emb", "{w}/run.soft.emb", *TOY_TEST], ["{t}/e.json"]),
     "metrics": (["metrics", "--real", "{w}/toy.train.emb", "--syn", "{w}/run.syn.emb",
                  "--labels-real", "{w}/toy.train.labels.csv",
                  "--labels-syn", "{w}/run.syn.labels.csv", "-k", "3", "--csv", "{t}/m.csv"],

@@ -5,6 +5,7 @@ from dire import (DireWeights, EmbeddingSet, ParameterError, Rng, cd_loss,
                   cdm_loss, dire_loss, edm_loss, finite_diff_check,
                   finite_diff_grad, pairwise_cosine_matrix, rng_normal,
                   row_l2_normalize)
+from dire.losses import ALL_COMPONENTS, RealSide, batched_dire_loss
 
 SUM = DireWeights(reduction="sum")
 MEAN = DireWeights(reduction="mean")
@@ -249,3 +250,86 @@ class TestOrthogonalityPressure:
         value, _ = cd_loss(x, w)
         assert value < 1e-6
         assert np.linalg.norm(x.sum(axis=0)) < 1e-3
+
+
+def _ragged_world(k, real_sizes, cap=None, f=4, seed=41):
+    """Synthetic (C, K, F) block and a real set with the given class sizes,
+    optionally capped per class like recover's draw."""
+    r = Rng(seed)
+    x = np.stack([rng_normal(r.split(c), k, f) for c in range(len(real_sizes))])
+    real = EmbeddingSet({c: rng_normal(r.split(100 + c), n, f) + 0.5 * c
+                         for c, n in enumerate(real_sizes)}).subsample(cap, r.split(200))
+    return x, real
+
+
+def _assert_matches_oracle(x, real, w, components=ALL_COMPONENTS):
+    """batched_dire_loss against dire_loss class by class."""
+    classes = real.classes()
+    per_class, total = dire_loss(EmbeddingSet(dict(enumerate(x))), real, w, components)
+    grad = np.zeros_like(x)
+    values = batched_dire_loss(x, RealSide.prepare(real, classes), w, components, grad)
+    for got, want in zip(values, (total.cd, total.cdm, total.edm, total.l_syn)):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+    np.testing.assert_allclose(grad, np.stack([per_class[c].grad for c in classes]),
+                               rtol=1e-12, atol=1e-15)
+
+
+class TestBatchedDireLoss:
+    @pytest.mark.parametrize("reduction", ["mean", "sum"])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    @pytest.mark.parametrize("sizes, cap", [
+        ((5, 9, 3), None),       # unequal classes, no cap
+        ((4, 12, 7), 6),         # cap above some class sizes
+        ((8, 8, 8), 8),          # equal classes, no padding
+    ], ids=["uncapped", "cap-above-some", "equal"])
+    def test_matches_per_class_oracle(self, reduction, diagonal, sizes, cap):
+        x, real = _ragged_world(4, sizes, cap)
+        w = DireWeights(r_c=1.3, r_e=0.4, reduction=reduction,
+                        include_diagonal_cd=diagonal)
+        _assert_matches_oracle(x, real, w)
+
+    @pytest.mark.parametrize("components", [("cd",), ("cdm",), ("edm",), ("cd", "edm")])
+    def test_component_subsets(self, components):
+        x, real = _ragged_world(3, (6, 2, 9))
+        _assert_matches_oracle(x, real, DireWeights(r_c=0.7, r_e=0.9), components)
+
+    @pytest.mark.parametrize("reduction", ["mean", "sum"])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_single_point_per_class(self, reduction, diagonal):
+        x, real = _ragged_world(1, (5, 3))
+        w = DireWeights(reduction=reduction, include_diagonal_cd=diagonal)
+        _assert_matches_oracle(x, real, w)
+
+    @pytest.mark.parametrize("reduction", ["mean", "sum"])
+    def test_zero_norm_synthetic_row(self, reduction):
+        x, real = _ragged_world(3, (4, 7))
+        x[1, 2] = 0.0
+        _assert_matches_oracle(x, real, DireWeights(reduction=reduction))
+
+    def test_padded_layout(self):
+        x, real = _ragged_world(3, (2, 11))
+        prepared = RealSide.prepare(real, real.classes())
+        assert prepared.y.shape == (2, 11, 4)
+        assert prepared.mask.sum(axis=1).tolist() == [2.0, 11.0]
+        assert np.all(prepared.y[0, 2:] == 0.0)
+        assert np.array_equal(prepared.yt, prepared.y.transpose(0, 2, 1))
+
+    def test_gradient_accumulates_into_given_array(self):
+        x, real = _ragged_world(3, (4, 4))
+        w = DireWeights()
+        fresh = np.zeros_like(x)
+        batched_dire_loss(x, RealSide.prepare(real, [0, 1]), w, ALL_COMPONENTS, fresh)
+        base = np.full_like(x, 0.25)
+        batched_dire_loss(x, RealSide.prepare(real, [0, 1]), w, ALL_COMPONENTS, base)
+        np.testing.assert_allclose(base, fresh + 0.25, rtol=1e-15, atol=1e-15)
+
+    def test_missing_class_rejected(self):
+        _, real = _ragged_world(2, (3, 3))
+        with pytest.raises(ParameterError, match="class 5"):
+            RealSide.prepare(real, [0, 5])
+
+    def test_mismatched_blocks_rejected(self):
+        x, real = _ragged_world(2, (3, 3))
+        with pytest.raises(ParameterError, match="block"):
+            batched_dire_loss(x[:, :, :3], RealSide.prepare(real, [0, 1]), MEAN,
+                              ALL_COMPONENTS, np.zeros_like(x[:, :, :3]))

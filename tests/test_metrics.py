@@ -337,7 +337,7 @@ class TestEmbeddingSet:
         labels = np.array([1, 0, 1, 0, 1, 0])
         es = EmbeddingSet.from_labeled(emb, labels)
         assert es.classes() == [0, 1]
-        assert np.array_equal(es.rows[0], [1, 3, 5])
+        assert np.array_equal(es[0], emb[[1, 3, 5]])
         assert np.array_equal(es[1], emb[[0, 2, 4]])
 
     def test_subsample_cap_and_determinism(self):

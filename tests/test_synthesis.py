@@ -3,9 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dire import (ConfigError, EmbeddingSet, NumericalError, RunConfig, Rng,
-                  ablate, extract_features, finite_diff_check, gen_mixture,
-                  recover, rng_normal, squeeze_train, total_loss_and_grad)
+from dire import (ConfigError, DimensionError, EmbeddingSet, NumericalError,
+                  ParameterError, RunConfig, Rng, ablate, dire_loss,
+                  extract_features, extract_features_vjp, finite_diff_check,
+                  gen_mixture, recover, rng_normal, squeeze_train,
+                  total_loss_and_grad)
+from dire.losses import RealSide
 from dire.synthesis import class_blocked_labels, trace_to_csv
 
 
@@ -101,6 +104,41 @@ class TestTotalLossAndGrad:
             cfg.r_c * (loss.cd + loss.cdm) + cfg.r_e * loss.edm, rel=1e-12)
         assert loss.total == pytest.approx(loss.l_ce + loss.l_bn + loss.l_syn)
 
+    def test_regularizer_matches_per_class_oracle(self, small_world):
+        train, _, teacher, e_real = small_world
+        labels = class_blocked_labels(3, 3)
+        pts = rng_normal(Rng(4), 9, 6)
+        cfg = small_cfg(r_c=1.5, r_e=0.3, lambda_bn=0.0)
+        loss, grad = total_loss_and_grad(teacher, pts, labels, e_real, cfg)
+        ce_only, ce_grad = total_loss_and_grad(
+            teacher, pts, labels, e_real, small_cfg(r_c=0.0, r_e=0.0, lambda_bn=0.0))
+        feats = extract_features(teacher, pts)
+        _, want = dire_loss(EmbeddingSet.from_labeled(feats, labels), e_real,
+                            cfg.dire_weights())
+        for key in ("cd", "cdm", "edm", "l_syn"):
+            assert getattr(loss, key) == pytest.approx(getattr(want, key), rel=1e-12)
+        assert loss.l_ce == ce_only.l_ce
+        np.testing.assert_allclose(grad - ce_grad, extract_features_vjp(teacher, pts, want.grad),
+                                   rtol=1e-9, atol=1e-14)
+
+    @pytest.mark.parametrize("labels", [
+        np.array([0, 1, 2, 0, 1, 2, 0, 1, 2]),   # shuffled, equal counts
+        np.array([0, 0, 0, 0, 1, 1, 2, 2, 2]),   # blocked, unequal counts
+    ], ids=["shuffled", "unequal-counts"])
+    def test_labels_must_be_class_blocked(self, small_world, labels):
+        train, _, teacher, e_real = small_world
+        with pytest.raises(ParameterError, match="class-blocked"):
+            total_loss_and_grad(teacher, rng_normal(Rng(0), 9, 6), labels, e_real,
+                                small_cfg())
+
+    def test_labels_outside_the_teacher_or_the_points_rejected(self, small_world):
+        train, _, teacher, e_real = small_world
+        pts = rng_normal(Rng(0), 9, 6)
+        with pytest.raises(ParameterError, match="labels"):
+            total_loss_and_grad(teacher, pts, np.repeat([1, 2, 3], 3), e_real, small_cfg())
+        with pytest.raises(DimensionError, match="9 points vs 6 labels"):
+            total_loss_and_grad(teacher, pts, class_blocked_labels(3, 2), e_real, small_cfg())
+
     def test_missing_feature_stats_rejected(self, small_world):
         train, _, teacher, e_real = small_world
         bare = dataclasses.replace(teacher, feature_mean=None)
@@ -173,6 +211,18 @@ class TestRecover:
             return subsample(self, *args, **kwargs)
         monkeypatch.setattr(EmbeddingSet, "subsample", counting_subsample)
         recover(teacher, train, small_cfg(iters=5, real_cap=4))
+        assert len(calls) == 1
+
+    def test_real_side_prepared_once_per_recover(self, small_world, monkeypatch):
+        train, _, teacher, _ = small_world
+        calls = []
+        prepare = RealSide.prepare.__func__
+
+        def counting_prepare(cls, *args, **kwargs):
+            calls.append(1)
+            return prepare(cls, *args, **kwargs)
+        monkeypatch.setattr(RealSide, "prepare", classmethod(counting_prepare))
+        recover(teacher, train, small_cfg(iters=5))
         assert len(calls) == 1
 
     def test_real_cap_changes_points(self, small_world):

@@ -6,6 +6,7 @@ from dire import (DimensionError, ParameterError, Rng, SoftLabels,
                   extract_features_vjp, finite_diff_grad, gen_mixture,
                   model_accuracy, relabel, rng_normal, softmax, squeeze_train,
                   teacher_logits)
+from dire.teacher import _sgd_train, forward_activations, init_mlp
 
 
 class TestGenMixture:
@@ -82,8 +83,67 @@ class TestSqueezeTrain:
         poisoned = train.points.copy()
         poisoned[0, 0] = np.nan
         bad = LabeledDataset(poisoned, train.labels, train.n_classes, "train")
-        with pytest.raises(TrainingError, match="epoch"):
+        with pytest.raises(TrainingError, match="epoch 0"):
             squeeze_train(bad, (6,), epochs=2, lr=0.1, seed=6)
+
+
+def _oracle_cross_entropy_grad(logits, targets):
+    """The per-step CE gradient the SGD loop must reproduce bit for bit."""
+    n = logits.shape[0]
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    if targets.ndim == 1:
+        onehot = np.zeros_like(logits)
+        onehot[np.arange(n), targets] = 1.0
+        return (np.exp(log_probs) - onehot) / n
+    return (np.exp(log_probs) - targets) / n
+
+
+def _oracle_sgd(points, targets, hidden_sizes, n_classes, epochs, lr, seed, batch_size):
+    """Minibatch SGD one step at a time through forward_activations, the
+    loop the lean trainer replaced; its weights are the oracle."""
+    weights, biases = init_mlp(points.shape[1], hidden_sizes, n_classes, seed)
+    model = TeacherModel(weights, biases, feature_layer=len(hidden_sizes))
+    shuffle = Rng(seed).split(1000)
+    for epoch in range(epochs):
+        order = shuffle.split(epoch).generator.permutation(points.shape[0])
+        for lo in range(0, points.shape[0], batch_size):
+            ix = order[lo:lo + batch_size]
+            acts = forward_activations(model, points[ix])
+            g = _oracle_cross_entropy_grad(acts[-1], targets[ix])
+            for layer in range(len(model.weights) - 1, -1, -1):
+                dw = acts[layer].T @ g
+                db = g.sum(axis=0)
+                if layer > 0:
+                    g = (g @ model.weights[layer].T) * (1.0 - acts[layer] ** 2)
+                model.weights[layer] -= lr * dw
+                model.biases[layer] -= lr * db
+    return model
+
+
+class TestSgdMatchesPerStepOracle:
+    @pytest.mark.parametrize("hidden, batch_size, soft", [
+        ((12,), 32, False),      # hard targets, as squeeze trains
+        ((12,), 32, True),       # soft targets, as evaluate_student trains
+        ((12,), 7, False),       # batch size that does not divide N = 72
+        ((10, 8), 16, False),    # two hidden layers
+        ((10, 8), 5, True),
+    ], ids=["hard", "soft", "ragged-batch", "two-hidden", "two-hidden-soft"])
+    def test_weights_bit_identical(self, hidden, batch_size, soft):
+        train, _ = gen_mixture(3, 6, 30, 0.3, seed=8)
+        targets = (relabel(squeeze_train(train, (6,), epochs=3, seed=1), train.points).probs
+                   if soft else train.labels)
+        got = _sgd_train(train.points, targets, 6, hidden, 3, 4, 0.3, 5, batch_size)
+        want = _oracle_sgd(train.points, targets, hidden, 3, 4, 0.3, 5, batch_size)
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
+
+    def test_squeeze_teacher_bit_identical(self):
+        train, _ = gen_mixture(4, 8, 50, 0.3, seed=3)
+        got = squeeze_train(train, (16,), epochs=6, lr=0.5, seed=3)
+        want = _oracle_sgd(train.points, train.labels, (16,), 4, 6, 0.5, 3, 32)
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
 
 
 class TestFeatureExtraction:
