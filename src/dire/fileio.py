@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,37 +37,62 @@ from .teacher import TeacherModel
 EMB_MAGIC = b"EMB1"
 EMB_VERSION = 1
 EMB_HEADER = struct.Struct("<4sHII")  # magic, version, rows, cols
+_FINITE_PIECE = 1 << 16  # values per finiteness check, a 64 KiB boolean
 
 CKPT_MAGIC = b"DIRT"
 CKPT_VERSION = 1
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """np.isfinite(a).all(), in pieces whose boolean temporaries stay small."""
+    flat = a.reshape(-1)
+    return all(np.isfinite(flat[lo:lo + _FINITE_PIECE]).all()
+               for lo in range(0, flat.size, _FINITE_PIECE))
+
+
+def _write_f64(fh, a) -> None:
+    """Write `a` as little-endian float64 from its own buffer, without a
+    bytes copy when it is already contiguous little-endian float64."""
+    a = np.ascontiguousarray(a, dtype="<f8")
+    if a.size:  # a memoryview of an empty 2-D array cannot be cast
+        fh.write(memoryview(a).cast("B"))
+
+
 def write_emb(path, m) -> None:
     m = as_matrix(m)
-    if m.size and not np.all(np.isfinite(m)):
+    if not _all_finite(m):
         raise ParameterError(f"write_emb: refusing to write non-finite values to {path}")
     with open(path, "wb") as fh:
         fh.write(EMB_HEADER.pack(EMB_MAGIC, EMB_VERSION, m.shape[0], m.shape[1]))
-        fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
+        _write_f64(fh, m)
 
 
 def read_emb(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if len(data) < EMB_HEADER.size:
-        raise FormatError(f"{path}: truncated header, {len(data)} < {EMB_HEADER.size} bytes")
-    magic, version, rows, cols = EMB_HEADER.unpack_from(data, 0)
-    if magic != EMB_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r} at byte offset 0")
-    if version != EMB_VERSION:
-        raise FormatError(f"{path}: unsupported version {version} at byte offset 4")
-    expected = EMB_HEADER.size + 8 * rows * cols
-    if len(data) != expected:
-        raise FormatError(
-            f"{path}: payload truncated at byte offset {len(data)} (expected {expected})")
-    payload = np.frombuffer(data, dtype="<f8", offset=EMB_HEADER.size)
-    if not np.isfinite(payload).all():
+    """The matrix in an EMB1 file, read into one fresh array. The header is
+    checked against the file size before anything is allocated."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < EMB_HEADER.size:
+            raise FormatError(f"{path}: truncated header, {size} < {EMB_HEADER.size} bytes")
+        magic, version, rows, cols = EMB_HEADER.unpack(fh.read(EMB_HEADER.size))
+        if magic != EMB_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r} at byte offset 0")
+        if version != EMB_VERSION:
+            raise FormatError(f"{path}: unsupported version {version} at byte offset 4")
+        expected = EMB_HEADER.size + 8 * rows * cols
+        if size != expected:
+            raise FormatError(
+                f"{path}: payload truncated at byte offset {size} (expected {expected})")
+        out = np.empty((rows, cols), dtype=np.float64)
+        got = fh.readinto(out.reshape(-1).view(np.uint8))
+    if got != out.nbytes:  # the file shrank after fstat
+        raise FormatError(f"{path}: payload truncated at byte offset "
+                          f"{EMB_HEADER.size + got} (expected {expected})")
+    if sys.byteorder == "big":
+        out.byteswap(inplace=True)
+    if not _all_finite(out):
         raise FormatError(f"{path}: non-finite value in payload")
-    return payload.reshape(rows, cols).astype(np.float64)
+    return out
 
 
 def write_labels(path, labels) -> None:
@@ -95,12 +122,12 @@ def write_teacher(path, model: TeacherModel) -> None:
         fh.write(struct.pack("<4sHI", CKPT_MAGIC, CKPT_VERSION, len(model.weights)))
         for w, b in zip(model.weights, model.biases):
             fh.write(struct.pack("<II", w.shape[0], w.shape[1]))
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+            _write_f64(fh, w)
+            _write_f64(fh, b)
         fh.write(struct.pack("<I", model.feature_layer))
         fh.write(struct.pack("<I", model.feature_mean.shape[0]))
-        fh.write(np.ascontiguousarray(model.feature_mean, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.feature_var, dtype="<f8").tobytes())
+        _write_f64(fh, model.feature_mean)
+        _write_f64(fh, model.feature_var)
 
 
 def read_teacher(path) -> TeacherModel:

@@ -85,36 +85,43 @@ class RealReference:
         return cls(model, real, knn_distances(real.pooled(), k), k)
 
 
-def _evaluate(teacher, ref: RealReference, test, syn, b: dict, seed: int):
-    """(metrics_report at default scopes, student accuracy); b as DEFAULT_BENCHMARK."""
+def _report(ref: RealReference, syn):
+    """metrics_report of syn at default scopes, embedded by ref's model."""
     e_syn = EmbeddingSet.from_labeled(extract_features(ref.model, syn.points),
                                       syn.labels)
     cov = covered_fraction(ref.real.pooled(), ref.radii, e_syn.pooled())
-    report = report_with_coverage(ref.real, e_syn, cov, ref.k)
+    return report_with_coverage(ref.real, e_syn, cov, ref.k)
+
+
+def _student_accuracy(teacher, test, syn, b: dict, seed: int) -> float:
+    """Accuracy of a student trained on syn; b as DEFAULT_BENCHMARK."""
     soft = syn.soft_labels if syn.soft_labels is not None else relabel(teacher, syn)
-    return report, evaluate_student(
+    return evaluate_student(
         syn.points, soft, test, hidden_sizes=b["student_hidden"],
         epochs=b["student_epochs"], lr=b["student_lr"], seed=seed)
 
 
-def _run_arm(teacher, train, test, ref: RealReference, b: dict,
-             cfg: RunConfig) -> ArmResult:
-    """The arm runner: recover, relabel, then evaluate against ref."""
+def _run_arm(teacher, train, test, refs, b: dict, cfg: RunConfig) -> list:
+    """The arm runner: recover, relabel and train the student once, then
+    score the recovered set against each reference; one ArmResult per ref."""
     syn = recover(teacher, train, cfg)
     syn.soft_labels = relabel(teacher, syn, cfg.temperature)
-    report, acc = _evaluate(teacher, ref, test, syn, b, cfg.seed)
-    return ArmResult(cfg.seed, cfg.components, report.coverage,
-                     report.mean_intra_class_cosine, report.vendi, acc)
+    acc = _student_accuracy(teacher, test, syn, b, cfg.seed)
+    reports = [_report(ref, syn) for ref in refs]
+    return [ArmResult(cfg.seed, cfg.components, r.coverage,
+                      r.mean_intra_class_cosine, r.vendi, acc) for r in reports]
 
 
-def _desks(seeds, bench, extractor_factory=None):
-    """(seed, arm) per seed; arm(cfg) runs against the seed's one reference."""
+def _desks(seeds, bench, extractor_factories=(None,)):
+    """(seed, arm) per seed; arm(cfg) runs once and scores against one
+    reference per extractor factory, built once per seed. A None factory
+    stands for the seed's teacher."""
     b = dict(DEFAULT_BENCHMARK, **(bench or {}))
     for seed in seeds:
         train, test, teacher = make_benchmark(seed, bench)
-        model = extractor_factory(train, seed) if extractor_factory else teacher
-        ref = RealReference.build(model, train, b["k"])
-        yield seed, functools.partial(_run_arm, teacher, train, test, ref, b)
+        refs = [RealReference.build(f(train, seed) if f else teacher, train, b["k"])
+                for f in extractor_factories]
+        yield seed, functools.partial(_run_arm, teacher, train, test, refs, b)
 
 
 def make_benchmark(seed: int, bench: dict | None = None):
@@ -133,7 +140,7 @@ def run_arm(train, test, teacher, cfg: RunConfig, bench: dict | None = None,
     """Recover + relabel + evaluate one configuration."""
     b = dict(DEFAULT_BENCHMARK, **(bench or {}))
     ref = RealReference.build(extractor or teacher, train, b["k"])
-    return _run_arm(teacher, train, test, ref, b, cfg)
+    return _run_arm(teacher, train, test, [ref], b, cfg)[0]
 
 
 def evaluate_synthetic(teacher: TeacherModel, real_train: LabeledDataset,
@@ -149,7 +156,7 @@ def evaluate_synthetic(teacher: TeacherModel, real_train: LabeledDataset,
     ref = RealReference.build(extractor or teacher, real_train, k)
     b = dict(student_hidden=student_hidden, student_epochs=student_epochs,
              student_lr=student_lr)
-    return _evaluate(teacher, ref, real_test, syn, b, student_seed)
+    return _report(ref, syn), _student_accuracy(teacher, real_test, syn, b, student_seed)
 
 
 @dataclass
@@ -166,19 +173,24 @@ class ComparisonReport:
 
 def directional_comparison(seeds, base_cfg: RunConfig | None = None,
                            bench: dict | None = None,
-                           extractor_factory=None) -> ComparisonReport:
-    """Run the benchmark for each seed with the regularizer on and off.
+                           extractor_factories=(None,)) -> list:
+    """Run the benchmark for each seed with the regularizer on and off; one
+    ComparisonReport per extractor factory, all from the same recovers.
 
-    `extractor_factory(train, seed)` may supply an independently seeded
-    embedding model for the metrics; default uses each seed's teacher.
+    A factory `f(train, seed)` may supply an independently seeded embedding
+    model for the metrics; None uses each seed's teacher.
     """
     base_cfg = base_cfg if base_cfg is not None else RunConfig()
-    on_rows, off_rows = [], []
-    for seed, arm in _desks(seeds, bench, extractor_factory):
+    reports = [ComparisonReport(with_dire=[], without_dire=[])
+               for _ in extractor_factories]
+    for seed, arm in _desks(seeds, bench, extractor_factories):
         cfg = dataclasses.replace(base_cfg, seed=seed)
-        on_rows.append(arm(cfg))
-        off_rows.append(arm(dataclasses.replace(cfg, **REGULARIZER_OFF)))
-    return ComparisonReport(with_dire=on_rows, without_dire=off_rows)
+        on_rows = arm(cfg)
+        off_rows = arm(dataclasses.replace(cfg, **REGULARIZER_OFF))
+        for report, on, off in zip(reports, on_rows, off_rows):
+            report.with_dire.append(on)
+            report.without_dire.append(off)
+    return reports
 
 
 SWEEP_CSV_HEADER = "r_c,r_e,coverage,similarity,vendi,accuracy,composite,beats_baseline"
@@ -216,7 +228,7 @@ def weight_sweep(seeds=(0, 1, 2), rc_grid=SWEEP_RC_GRID, re_grid=SWEEP_RE_GRID,
     arms = list(_desks(seeds, bench))
 
     def medians_over_seeds(**weights):
-        return _medians([arm(dataclasses.replace(base_cfg, seed=seed, **weights))
+        return _medians([arm(dataclasses.replace(base_cfg, seed=seed, **weights))[0]
                          for seed, arm in arms])
 
     baseline = medians_over_seeds(**REGULARIZER_OFF)
@@ -271,8 +283,8 @@ def ablate(teacher: TeacherModel, real_train: LabeledDataset,
     ref = RealReference.build(teacher, real_train, k)
     b = dict(student_hidden=student_hidden, student_epochs=student_epochs,
              student_lr=student_lr)
-    arm = functools.partial(_run_arm, teacher, real_train, real_test, ref, b)
-    rows = [arm(dataclasses.replace(cfg, components=mask)) for mask in masks]
+    arm = functools.partial(_run_arm, teacher, real_train, real_test, [ref], b)
+    rows = [arm(dataclasses.replace(cfg, components=mask))[0] for mask in masks]
     for name in ("coverage", "similarity", "vendi"):
         vals = np.array([getattr(r, name) for r in rows])
         lo, hi = vals.min(), vals.max()

@@ -122,9 +122,15 @@ class TeacherModel:
 
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row softmax with max subtraction."""
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return _softmax_in_place(np.array(z, dtype=np.float64))
+
+
+def _softmax_in_place(z: np.ndarray) -> np.ndarray:
+    """Row softmax of the float64 block z, written over z."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def gen_mixture(n_classes: int, dim: int, n_per_class: int, spread: float,
@@ -183,26 +189,48 @@ def init_mlp(dim: int, hidden_sizes, n_classes: int, seed: int):
     return weights, biases
 
 
-def forward_activations(model: TeacherModel, x):
-    """All layer activations: [input, tanh hidden..., logits]."""
+def _checked_input(model: TeacherModel, x) -> np.ndarray:
     x = as_matrix(x, "X")
     if x.shape[1] != model.input_dim:
         raise DimensionError(
             f"forward: input dim {x.shape[1]} != model dim {model.input_dim}")
-    acts = [x]
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        acts.append(np.tanh(acts[-1] @ w + b))
-    acts.append(acts[-1] @ model.weights[-1] + model.biases[-1])
+    return x
+
+
+def _layer(model: TeacherModel, a: np.ndarray, l: int) -> np.ndarray:
+    """Activation l+1 from activation l in one fresh buffer: z = a @ w;
+    z += b, then tanh in place on hidden layers. `a` is never written."""
+    z = a @ model.weights[l]
+    z += model.biases[l]
+    if l + 1 < len(model.weights):
+        np.tanh(z, out=z)
+    return z
+
+
+def _forward(model: TeacherModel, x, depth: int) -> np.ndarray:
+    """Activation `depth` of x, holding only the current activation."""
+    a = _checked_input(model, x)
+    for l in range(depth):
+        a = _layer(model, a, l)
+    return a
+
+
+def forward_activations(model: TeacherModel, x):
+    """All layer activations: [input, tanh hidden..., logits]."""
+    acts = [_checked_input(model, x)]
+    for l in range(len(model.weights)):
+        acts.append(_layer(model, acts[-1], l))
     return acts
 
 
 def teacher_logits(model: TeacherModel, x) -> np.ndarray:
-    return forward_activations(model, x)[-1]
+    return _forward(model, x, len(model.weights))
 
 
 def extract_features(model: TeacherModel, x) -> np.ndarray:
-    """Activation of the designated hidden layer."""
-    return forward_activations(model, x)[model.feature_layer]
+    """Activation of the designated hidden layer; the layers above it are
+    never computed."""
+    return _forward(model, x, model.feature_layer)
 
 
 def input_gradient(model: TeacherModel, acts, dlogits=None, dfeatures=None):
@@ -331,7 +359,8 @@ def relabel(model: TeacherModel, synthetic, temperature: float = 1.0) -> SoftLab
         raise ParameterError(f"relabel: temperature must be > 0, got {temperature}")
     points = getattr(synthetic, "points", synthetic)
     logits = teacher_logits(model, points)
-    return SoftLabels(softmax(logits / temperature), temperature)
+    logits /= temperature
+    return SoftLabels(_softmax_in_place(logits), temperature)
 
 
 def evaluate_student(points, labels, test: LabeledDataset, hidden_sizes=(32,),

@@ -69,6 +69,59 @@ class TestEmbFormat:
         assert str(path) in str(exc.value)
 
 
+    def test_absurd_header_refused_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.emb"
+        path.write_bytes(EMB_HEADER.pack(b"EMB1", 1, 2**32 - 1, 2**32 - 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="payload truncated at byte offset 14"):
+                read_emb(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        path = tmp_path / "long.emb"
+        write_emb(path, np.eye(3))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="byte offset 87 \\(expected 86\\)"):
+            read_emb(path)
+
+    def test_payload_cut_mid_row_rejected(self, tmp_path):
+        path = tmp_path / "cut.emb"
+        write_emb(path, rng_normal(Rng(4), 3, 4))
+        path.write_bytes(path.read_bytes()[:EMB_HEADER.size + 8 * 6])
+        with pytest.raises(FormatError, match="byte offset 62 \\(expected 110\\)"):
+            read_emb(path)
+
+    def test_zero_row_matrix_roundtrips(self, tmp_path):
+        path = tmp_path / "rows0.emb"
+        write_emb(path, np.zeros((0, 3)))
+        assert path.stat().st_size == EMB_HEADER.size
+        assert read_emb(path).shape == (0, 3)
+
+    def test_read_array_is_a_fresh_native_matrix(self, tmp_path):
+        path = tmp_path / "m.emb"
+        write_emb(path, rng_normal(Rng(5), 4, 3))
+        out = read_emb(path)
+        assert out.flags.writeable and out.flags.c_contiguous and out.flags.owndata
+        assert out.dtype == np.float64 and out.dtype.isnative
+
+    def test_read_peak_is_one_payload(self, tmp_path):
+        m = rng_normal(Rng(6), 20_000, 16)
+        path = tmp_path / "big.emb"
+        write_emb(path, m)
+        tracemalloc.start()
+        try:
+            out = read_emb(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, m)
+        assert peak <= 1.1 * m.nbytes
+
+
 class TestLabelsCsv:
     def test_roundtrip(self, tmp_path):
         labels = np.array([0, 2, 1, 2], dtype=np.int64)

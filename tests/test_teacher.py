@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,97 @@ class TestRelabel:
         p = softmax(z)
         assert np.all(np.isfinite(p))
         np.testing.assert_allclose(p.sum(axis=1), 1.0)
+
+
+def _oracle_forward(model, x):
+    """The forward pass before the in-place rewrite, np.tanh(a @ w + b)."""
+    acts = [x]
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        acts.append(np.tanh(acts[-1] @ w + b))
+    acts.append(acts[-1] @ model.weights[-1] + model.biases[-1])
+    return acts
+
+
+def _oracle_softmax(z):
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _read_only(x):
+    """x as a read-only array over a bytes copy, as np.frombuffer gives it."""
+    return np.frombuffer(x.tobytes(), dtype=np.float64).reshape(x.shape)
+
+
+class TestInPlaceForwardMatchesOracle:
+    @pytest.fixture(scope="class", params=[((12,), 1), ((10, 8), 1)],
+                    ids=["one-hidden", "two-hidden-feature-1"])
+    def case(self, request):
+        hidden, feature_layer = request.param
+        train, _ = gen_mixture(4, 6, 40, 0.2, seed=5)
+        trained = squeeze_train(train, hidden, epochs=5, lr=0.2, seed=5)
+        model = TeacherModel(trained.weights, trained.biases, feature_layer)
+        return model, _read_only(train.points)
+
+    def test_forward_activations(self, case):
+        model, x = case
+        for got, want in zip(forward_activations(model, x), _oracle_forward(model, x),
+                             strict=True):
+            assert np.array_equal(got, want)
+
+    def test_features_and_logits(self, case):
+        model, x = case
+        want = _oracle_forward(model, x)
+        assert np.array_equal(extract_features(model, x), want[model.feature_layer])
+        assert np.array_equal(teacher_logits(model, x), want[-1])
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.5])
+    def test_relabel(self, case, temperature):
+        model, x = case
+        want = _oracle_softmax(_oracle_forward(model, x)[-1] / temperature)
+        assert np.array_equal(relabel(model, x, temperature).probs, want)
+
+    def test_softmax(self, case):
+        model, x = case
+        logits = _read_only(teacher_logits(model, x))
+        assert np.array_equal(softmax(logits), _oracle_softmax(logits))
+
+    def test_read_only_input_is_unchanged(self, case):
+        model, x = case
+        before = x.copy()
+        assert not x.flags.writeable
+        forward_activations(model, x)
+        extract_features(model, x)
+        relabel(model, x, 0.5)
+        assert np.array_equal(x, before)
+
+
+def _traced_peak(fn, *args):
+    """(result, peak bytes traced while fn ran)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestForwardMemory:
+    N, D, H, C = 20_000, 16, 32, 10
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        weights, biases = init_mlp(self.D, (self.H,), self.C, seed=3)
+        return TeacherModel(weights, biases, 1), rng_normal(Rng(4), self.N, self.D)
+
+    def test_extract_features_holds_one_block(self, case):
+        feats, peak = _traced_peak(extract_features, *case)
+        assert peak <= 1.1 * feats.nbytes
+
+    def test_relabel_holds_hidden_and_logits(self, case):
+        _, peak = _traced_peak(relabel, *case)
+        assert peak <= 1.1 * (self.N * self.H + self.N * self.C) * 8
 
 
 class TestEvaluateStudent:
