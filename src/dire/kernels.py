@@ -3,9 +3,17 @@
 The naive implementations walk row pairs in Python and exist as the
 benchmark baseline and as a cross-check; the fast variants compute the same
 values through blocked BLAS matmuls with precomputed norms, optionally
-fanning row blocks out to a thread pool. The k-NN and nearest-neighbour
-distances stream the same row blocks and keep only a per-row result, so
-their memory is O(ROW_BLOCK * N), never N x N.
+fanning row blocks out to a thread pool. Every blocked kernel forms blocks of
+ROW_BLOCK = 128 rows, so a block against N = 8000 columns is 8 MiB.
+
+The k-NN and nearest-neighbour distances stream the same row blocks and keep
+only a per-row result, so their memory is O(ROW_BLOCK * N), never N x N.
+They select on the squared-distance block and clamp and root only the
+selected values; clamping and the root are non-decreasing, so the values
+equal a selection over the rooted block bit for bit. The k-NN selection
+partitions only a candidate set: the k column tiles of KNN_TILE = 128
+entries whose minima are smallest, plus the ragged last columns, which hold
+every row's k smallest entries.
 """
 
 from __future__ import annotations
@@ -22,7 +30,10 @@ from .errors import DimensionError, NumericalError, ParameterError
 from .matrix import as_matrix, Rng, rng_normal
 
 COSINE_EPS = 1e-12
-ROW_BLOCK = 512
+# BLAS may round the last (columns mod 8) entries of a GEMM differently for
+# other row-block heights, so every blocked kernel shares this one height
+ROW_BLOCK = 128
+KNN_TILE = 128
 
 
 def worker_count() -> int:
@@ -59,19 +70,53 @@ def _blocks(n: int, block: int):
     return [(s, min(s + block, n)) for s in range(0, n, block)]
 
 
-def _euclid_rows(a_rows, bt, na2_rows, nb2):
-    """Distance rows |a_i - b_j| of one row block from the |a|^2 + |b|^2 -
-    2<a,b> expansion, negative radicands clamped to 0. Every blocked
-    Euclidean kernel goes through this one sequence on the same row blocks,
-    so they agree bit for bit. Leading axes broadcast as a stack: (C, K, F)
-    rows against (C, F, R) columns give (C, K, R) distances."""
+def _sq_dist_rows(a_rows, bt, na2_rows, nb2):
+    """Squared distance rows |a|^2 + |b|^2 - 2<a,b> of one row block, not yet
+    clamped: rounding can leave them negative, and finite rows near the
+    overflow threshold can give inf or NaN. Every blocked Euclidean kernel
+    forms its block through this one sequence on the same row blocks, so
+    they agree bit for bit. Leading axes broadcast as a stack: (C, K, F)
+    rows against (C, F, R) columns give (C, K, R) entries."""
     g = a_rows @ bt
     g *= -2.0
     g += na2_rows[..., None]
     g += nb2[..., None, :]
-    np.maximum(g, 0.0, out=g)
-    np.sqrt(g, out=g)
     return g
+
+
+def _root(g):
+    """|a - b| from squared distances in place: negatives clamped to 0."""
+    np.maximum(g, 0.0, out=g)
+    return np.sqrt(g, out=g)
+
+
+def _euclid_rows(a_rows, bt, na2_rows, nb2):
+    """Distance rows |a_i - b_j| of one row block: `_sq_dist_rows`, clamped
+    and rooted."""
+    return _root(_sq_dist_rows(a_rows, bt, na2_rows, nb2))
+
+
+def _kth_smallest_rows(d, k):
+    """k-th smallest entry of each row of d, equal to
+    `np.partition(d, k - 1, axis=1)[:, k - 1]`; d may be overwritten.
+
+    The k smallest entries of a row lie in the k column tiles of KNN_TILE
+    entries with the smallest minima (plus a ragged tail), because every
+    other tile's minimum is at least the k-th of those k minima, each of
+    which is an entry. So only that candidate set is partitioned. `fmin`
+    skips NaN as `partition` does, which puts NaN last."""
+    rows, n = d.shape
+    tiles = n // KNN_TILE
+    if tiles <= k:
+        d.partition(k - 1, axis=1)
+        return d[:, k - 1]
+    head = d[:, :tiles * KNN_TILE].reshape(rows, tiles, KNN_TILE)
+    mins = np.fmin.reduce(head, axis=2)
+    pick = np.argpartition(mins, k - 1, axis=1)[:, :k, None]
+    cand = np.concatenate((np.take_along_axis(head, pick, axis=1).reshape(rows, -1),
+                           d[:, tiles * KNN_TILE:]), axis=1)
+    cand.partition(k - 1, axis=1)
+    return cand[:, k - 1]
 
 
 def _map_blocks(fn, spans, workers):
@@ -169,9 +214,11 @@ def knn_distances(x, k: int) -> np.ndarray:
     """Distance from each row of X to its k-th nearest other row.
 
     Self-distances are excluded. Ties in distance do not affect the k-th
-    order statistic, so plain partial selection is exact. Row blocks are
-    selected as they are formed, so the values equal a selection over
-    `pairwise_euclidean_matrix(x, x)` bit for bit without its N x N memory.
+    order statistic, so partial selection is exact. Each row block is
+    selected on its squared distances as it is formed, and only the N
+    selected values are clamped and rooted: both maps are non-decreasing,
+    so the values equal a selection over `pairwise_euclidean_matrix(x, x)`
+    bit for bit without its N x N memory.
     """
     x = as_matrix(x, "X")
     n = x.shape[0]
@@ -182,18 +229,18 @@ def knn_distances(x, k: int) -> np.ndarray:
     xt = x.T.copy()
     out = np.empty(n)
     for lo, hi in _blocks(n, ROW_BLOCK):
-        d = _euclid_rows(x[lo:hi], xt, n2[lo:hi], n2)
+        d = _sq_dist_rows(x[lo:hi], xt, n2[lo:hi], n2)
         d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        d.partition(k - 1, axis=1)
-        out[lo:hi] = d[:, k - 1]
+        out[lo:hi] = _kth_smallest_rows(d, k)
         del d  # free this block before the next one is formed
-    return out
+    return _root(out)
 
 
 def nearest_distances(a, b) -> np.ndarray:
     """Distance from each row of A to its nearest row of B, equal to
     `pairwise_euclidean_matrix(a, b).min(axis=1)` bit for bit, streamed in
-    row blocks so memory is O(ROW_BLOCK * M)."""
+    row blocks so memory is O(ROW_BLOCK * M). The minimum is taken on the
+    squared block and only it is clamped and rooted."""
     a, b = _check_pair(a, b)
     if b.shape[0] < 1:
         raise ParameterError("nearest_distances: B has no rows")
@@ -205,8 +252,8 @@ def nearest_distances(a, b) -> np.ndarray:
     bt = b.T.copy()
     out = np.empty(a.shape[0])
     for lo, hi in _blocks(a.shape[0], ROW_BLOCK):
-        out[lo:hi] = _euclid_rows(a[lo:hi], bt, na2[lo:hi], nb2).min(axis=1)
-    return out
+        out[lo:hi] = _sq_dist_rows(a[lo:hi], bt, na2[lo:hi], nb2).min(axis=1)
+    return _root(out)
 
 
 @dataclass

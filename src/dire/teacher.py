@@ -161,19 +161,19 @@ def gen_mixture(n_classes: int, dim: int, n_per_class: int, spread: float,
     means = frame @ q.T
 
     n_train = int(n_per_class * 0.8)
-    train_pts, train_lbl, test_pts, test_lbl = [], [], [], []
+    n_test = n_per_class - n_train
+    train_pts = np.empty((n_classes * n_train, dim))
+    test_pts = np.empty((n_classes * n_test, dim))
     for c in range(n_classes):
-        noise = rng_normal(rng.split(1).split(c), n_per_class, dim, 0.0, spread)
-        pts = means[c][None, :] + noise
+        pts = rng_normal(rng.split(1).split(c), n_per_class, dim, 0.0, spread)
+        pts += means[c]
         order = rng.split(2).split(c).generator.permutation(n_per_class)
-        train_pts.append(pts[order[:n_train]])
-        test_pts.append(pts[order[n_train:]])
-        train_lbl.append(np.full(n_train, c, dtype=np.int64))
-        test_lbl.append(np.full(n_per_class - n_train, c, dtype=np.int64))
-    train = LabeledDataset(np.vstack(train_pts), np.concatenate(train_lbl),
-                           n_classes, "train")
-    test = LabeledDataset(np.vstack(test_pts), np.concatenate(test_lbl),
-                          n_classes, "test")
+        train_pts[c * n_train:(c + 1) * n_train] = pts[order[:n_train]]
+        test_pts[c * n_test:(c + 1) * n_test] = pts[order[n_train:]]
+    del pts, order  # the last class's draws, before the labels are formed
+    classes = np.arange(n_classes, dtype=np.int64)
+    train = LabeledDataset(train_pts, np.repeat(classes, n_train), n_classes, "train")
+    test = LabeledDataset(test_pts, np.repeat(classes, n_test), n_classes, "test")
     return train, test
 
 

@@ -3,13 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dire import (DimensionError, DireWeights, NumericalError, ParameterError,
                   Rng, bench_kernels, cd_loss, cdm_loss, coverage, edm_loss,
                   knn_distances, nearest_distances, pairwise_cosine_matrix,
                   pairwise_cosine_matrix_naive, pairwise_euclidean_matrix,
                   pairwise_euclidean_matrix_naive, rng_normal)
-from dire.kernels import ROW_BLOCK
+from dire.kernels import KNN_TILE, ROW_BLOCK
 
 
 # Pure-Python triple-loop oracles, independent of any numpy vectorization.
@@ -170,6 +172,67 @@ def full_matrix_knn(x, k):
     return np.partition(d, k - 1, axis=1)[:, k - 1]
 
 
+def _duplicated_rows():
+    x = np.repeat(rng_normal(Rng(70), 300, 8), 4, axis=0)
+    return x[np.random.default_rng(70).permutation(len(x))]
+
+
+def _neighbours_in_one_tile():
+    """Spread rows, and five near-copies of row 0 inside the second tile."""
+    x = 10.0 * rng_normal(Rng(71), 1000, 6)
+    lo = KNN_TILE + 3
+    x[lo:lo + 5] = x[0] + 1e-3 * rng_normal(Rng(72), 5, 6)
+    return x
+
+
+def _overflowing():
+    """Finite rows whose squared norms overflow: the squared-distance block
+    holds inf and NaN."""
+    x = rng_normal(Rng(73), 900, 4)
+    x[::7] *= 1e200
+    return x
+
+
+def _nan_beside_the_nearest():
+    """Rows 0 and 130-139 form a tight cluster near |x| = 8e153, and row 140
+    lies along it at 1e155: the cluster's squared distances to row 140 are
+    NaN, in the tile that holds all of the cluster's nearest neighbours."""
+    x = rng_normal(Rng(83), 1000, 4)
+    u = np.array([0.5, 0.5, 0.5, 0.5])
+    cluster = [0, *range(KNN_TILE + 2, KNN_TILE + 12)]
+    x[cluster] = 8e153 * (u + 1e-3 * rng_normal(Rng(84), len(cluster), 4))
+    x[KNN_TILE + 12] = 1e155 * u
+    return x
+
+
+def _all_overflowing():
+    """Every row overflows: a row holds only inf and NaN."""
+    return 1e200 * rng_normal(Rng(82), 700, 4)
+
+
+# (builder, k): the k tiles-or-fewer fallback, the tile path on either side
+# of it, ragged last tiles over several row blocks, ties and NaN
+SELECTION_CASES = {
+    "n=k+1,k=1": (lambda: rng_normal(Rng(74), 2, 8), 1),
+    "n=k+1,k=5": (lambda: rng_normal(Rng(75), 6, 8), 5),
+    "n=tile*(k+1)-1": (lambda: rng_normal(Rng(76), KNN_TILE * 6 - 1, 8), 5),
+    "n=tile*(k+1)": (lambda: rng_normal(Rng(77), KNN_TILE * 6, 8), 5),
+    "n=tile*(k+1)+1": (lambda: rng_normal(Rng(78), KNN_TILE * 6 + 1, 8), 5),
+    "n=tile*2+1,k=1": (lambda: rng_normal(Rng(79), KNN_TILE * 2 + 1, 8), 1),
+    "row-blocks,ragged,k=1": (lambda: rng_normal(Rng(80), 8 * ROW_BLOCK + 45, 8), 1),
+    "row-blocks,ragged,k=5": (lambda: rng_normal(Rng(81), 8 * ROW_BLOCK + 45, 8), 5),
+    "duplicate-rows,k=1": (_duplicated_rows, 1),
+    "duplicate-rows,k=5": (_duplicated_rows, 5),
+    "identical-rows,k=1": (lambda: np.full((900, 5), 0.3), 1),
+    "identical-rows,k=5": (lambda: np.full((900, 5), 0.3), 5),
+    "neighbours-in-one-tile": (_neighbours_in_one_tile, 5),
+    "overflow,k=1": (_overflowing, 1),
+    "overflow,k=5": (_overflowing, 5),
+    "nan-beside-the-nearest": (_nan_beside_the_nearest, 5),
+    "all-overflow": (_all_overflowing, 5),
+}
+
+
 def peak_traced_bytes(fn, *args):
     tracemalloc.start()
     try:
@@ -202,6 +265,51 @@ class TestStreamedKnn:
         x = rng_normal(Rng(61), 2 * ROW_BLOCK + 3, 8)
         nearest = pairwise_euclidean_matrix(x, x).min(axis=1)
         assert coverage(x, x, k) == float(np.mean(nearest <= full_matrix_knn(x, k))) == 1.0
+
+    # the overflow cases warn, also from the matrix kernel's worker threads
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("name", sorted(SELECTION_CASES))
+    def test_tile_selection_equals_full_matrix(self, name):
+        build, k = SELECTION_CASES[name]
+        x = build()
+        y = x[::3] + 0.5
+        got = knn_distances(x, k)
+        assert np.array_equal(got, full_matrix_knn(x, k), equal_nan=True)
+        assert np.array_equal(nearest_distances(x, y),
+                              pairwise_euclidean_matrix(x, y).min(axis=1), equal_nan=True)
+        if name == "neighbours-in-one-tile":
+            assert x.shape[0] // KNN_TILE > k and got[0] < 0.01
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 1100), dim=st.integers(1, 12), k=st.integers(1, 12),
+           seed=st.integers(0, 2**16), grid=st.booleans())
+    def test_radii_equal_full_matrix_property(self, n, dim, k, seed, grid):
+        k = min(k, n - 1)
+        x = rng_normal(Rng(seed), n, dim)
+        if grid:  # a coarse grid: many exactly tied distances
+            x = np.round(2.0 * x)
+        assert np.array_equal(knn_distances(x, k), full_matrix_knn(x, k))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 600), dim=st.integers(4, 16), k=st.integers(1, 10),
+           seed=st.integers(0, 2**16))
+    def test_radii_follow_a_row_permutation(self, n, dim, k, seed):
+        # a permuted X moves rows between GEMM blocks, which may round the
+        # block differently, so the radii agree to rounding, not bit for bit
+        k = min(k, n - 1)
+        x = rng_normal(Rng(seed), n, dim)
+        p = np.random.default_rng(seed).permutation(n)
+        np.testing.assert_allclose(knn_distances(x[p], k), knn_distances(x, k)[p],
+                                   rtol=1e-12, atol=0.0)
+
+    def test_memory_within_two_row_blocks(self):
+        n = 8000
+        r = Rng(65)
+        x, b = rng_normal(r.split(0), n, 32), rng_normal(r.split(1), n, 32)
+        two_blocks = 2 * ROW_BLOCK * n * 8
+        assert peak_traced_bytes(knn_distances, x, 5) <= two_blocks
+        assert peak_traced_bytes(nearest_distances, x, b) <= two_blocks
 
     def test_memory_well_under_one_n_by_n_matrix(self):
         n = 4096

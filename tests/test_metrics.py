@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dire import (DimensionError, EmbeddingSet, NumericalError, ParameterError,
                   Rng, as_matrix, coverage, intra_class_cosine, metrics_report,
@@ -239,6 +241,36 @@ class TestCoverage:
             coverage(real, real, 10)
         with pytest.raises(DimensionError):
             coverage(real, rng_normal(Rng(1), 4, 2), 2)
+
+
+COVERAGE_SETS = dict(n=st.integers(6, 400), m=st.integers(1, 60),
+                     dim=st.integers(1, 12), k=st.integers(1, 5),
+                     seed=st.integers(0, 2**16))
+
+
+def _coverage_sets(n, m, dim, seed):
+    r = Rng(seed)
+    return rng_normal(r.split(0), n, dim), rng_normal(r.split(1), m, dim)
+
+
+class TestCoverageInvariance:
+    """Coverage depends on the two sets, not on their row order or units."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(**COVERAGE_SETS)
+    def test_row_permutations(self, n, m, dim, k, seed):
+        real, syn = _coverage_sets(n, m, dim, seed)
+        g = np.random.default_rng(seed)
+        assert coverage(real[g.permutation(n)], syn[g.permutation(m)], k) == \
+            coverage(real, syn, k)
+
+    @settings(max_examples=30, deadline=None)
+    @given(power=st.integers(-20, 20), **COVERAGE_SETS)
+    def test_power_of_two_scaling(self, power, n, m, dim, k, seed):
+        # a power of two scales every product and sum exactly
+        real, syn = _coverage_sets(n, m, dim, seed)
+        s = 2.0 ** power
+        assert coverage(s * real, s * syn, k) == coverage(real, syn, k)
 
 
 class TestIntraClassCosine:

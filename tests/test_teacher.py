@@ -36,6 +36,37 @@ class TestGenMixture:
         assert len(train) == 3 * 40 and len(test) == 3 * 10
         assert sorted(np.unique(train.labels)) == [0, 1, 2]
 
+    def test_equals_per_class_lists_stacked(self):
+        # oracle: each class's gathered rows in lists, stacked at the end
+        n_classes, dim, per, spread, seed = 5, 6, 30, 0.3, 4
+        train, test = gen_mixture(n_classes, dim, per, spread, seed)
+        rng = Rng(seed)
+        frame = np.zeros((n_classes, dim))
+        for c in range(n_classes):
+            frame[c, c % dim] = 1.0 if c < dim else -1.0
+        q, r = np.linalg.qr(rng_normal(rng.split(0), dim, dim))
+        means = frame @ (q * np.sign(np.diag(r))).T
+        parts = {"train": [], "test": []}
+        for c in range(n_classes):
+            pts = means[c][None, :] + rng_normal(rng.split(1).split(c), per, dim, 0.0, spread)
+            order = rng.split(2).split(c).generator.permutation(per)
+            parts["train"].append(pts[order[:24]])
+            parts["test"].append(pts[order[24:]])
+        assert np.array_equal(train.points, np.vstack(parts["train"]))
+        assert np.array_equal(test.points, np.vstack(parts["test"]))
+        assert np.array_equal(train.labels, np.repeat(np.arange(n_classes), 24))
+        assert np.array_equal(test.labels, np.repeat(np.arange(n_classes), 6))
+
+    def test_peak_memory_near_its_output(self):
+        tracemalloc.start()
+        try:
+            train, test = gen_mixture(10, 16, 10_000, 0.2, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = sum(a.nbytes for a in (train.points, train.labels, test.points, test.labels))
+        assert peak <= 1.3 * out
+
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
             gen_mixture(1, 4, 20, 0.1, 0)
