@@ -246,13 +246,14 @@ class TestStreamedKnn:
     """The streamed k-NN and nearest-neighbour passes against the full
     matrix: same values bit for bit, at block boundaries too."""
 
-    @pytest.mark.parametrize("n", [ROW_BLOCK - 1, ROW_BLOCK, 2 * ROW_BLOCK + 3])
+    # one row block and its edges, and the multi-block sizes 511, 512, 1027
+    @pytest.mark.parametrize("n", [ROW_BLOCK - 1, ROW_BLOCK, 2 * ROW_BLOCK + 3, 511, 512, 1027])
     @pytest.mark.parametrize("k", [1, 5])
     def test_radii_equal_full_matrix(self, n, k):
         x = rng_normal(Rng(n), n, 8)
         assert np.array_equal(knn_distances(x, k), full_matrix_knn(x, k))
 
-    @pytest.mark.parametrize("n", [ROW_BLOCK - 1, 2 * ROW_BLOCK + 3])
+    @pytest.mark.parametrize("n", [ROW_BLOCK - 1, 2 * ROW_BLOCK + 3, 511, 1027])
     def test_nearest_equals_full_matrix_min(self, n):
         r = Rng(60 + n)
         a, b = rng_normal(r.split(0), n, 8), rng_normal(r.split(1), 37, 8)
