@@ -14,7 +14,7 @@ from .matrix import Rng, as_matrix, rng_normal, row_l2_normalize
 from .kernels import (BenchReport, bench_kernels, knn_distances,
                       nearest_distances, pairwise_cosine_matrix,
                       pairwise_cosine_matrix_naive, pairwise_euclidean_matrix,
-                      pairwise_euclidean_matrix_naive, worker_count)
+                      pairwise_euclidean_matrix_naive)
 from .embeddings import EmbeddingSet
 from .metrics import (MetricsReport, coverage, intra_class_cosine,
                       metrics_report, vendi_score)

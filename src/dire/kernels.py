@@ -2,9 +2,10 @@
 
 The naive implementations walk row pairs in Python and exist as the
 benchmark baseline and as a cross-check; the fast variants compute the same
-values through blocked BLAS matmuls with precomputed norms, optionally
-fanning row blocks out to a thread pool. Every blocked kernel forms blocks of
-ROW_BLOCK = 128 rows, so a block against N = 8000 columns is 8 MiB.
+values through blocked BLAS matmuls with precomputed norms. Every blocked
+kernel runs one loop over blocks of ROW_BLOCK = 128 rows on the caller's
+thread, so the caller's `np.errstate` applies to every block; a block against
+N = 8000 columns is 8 MiB.
 
 The k-NN and nearest-neighbour distances stream the same row blocks and keep
 only a per-row result, so their memory is O(ROW_BLOCK * N), never N x N.
@@ -19,9 +20,7 @@ every row's k smallest entries.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -37,19 +36,18 @@ KNN_TILE = 128
 
 
 def worker_count() -> int:
-    """Worker cap from DIRE_THREADS (0 or unset = one per CPU)."""
-    raw = os.environ.get("DIRE_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ParameterError(f"DIRE_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ParameterError(f"DIRE_THREADS must be >= 0, got {n}")
-    return n if n > 0 else (os.cpu_count() or 1)
+    """Threads the kernels run on: always 1, the caller's. Kept only for the
+    env record of `perfbench/child.py`; it goes with the next change to the
+    benchmark."""
+    return 1
 
 
 def _check_pair(a, b):
-    a, b = as_matrix(a, "A"), as_matrix(b, "B")
+    """Coerce both sides. One object passed as both is coerced once, so
+    `a is b` still holds after coercion."""
+    same = a is b
+    a = as_matrix(a, "A")
+    b = a if same else as_matrix(b, "B")
     if a.shape[1] != b.shape[1]:
         raise DimensionError(
             f"pairwise kernel: feature dims differ, {a.shape[1]} vs {b.shape[1]}")
@@ -66,8 +64,8 @@ def _row_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(_sq_norms(m))
 
 
-def _blocks(n: int, block: int):
-    return [(s, min(s + block, n)) for s in range(0, n, block)]
+def _blocks(n: int):
+    return [(s, min(s + ROW_BLOCK, n)) for s in range(0, n, ROW_BLOCK)]
 
 
 def _sq_dist_rows(a_rows, bt, na2_rows, nb2):
@@ -119,18 +117,8 @@ def _kth_smallest_rows(d, k):
     return cand[:, k - 1]
 
 
-def _map_blocks(fn, spans, workers):
-    """Run fn over row spans, returning results in span order."""
-    if workers <= 1 or len(spans) <= 1:
-        return [fn(lo, hi) for lo, hi in spans]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, lo, hi) for lo, hi in spans]
-        return [f.result() for f in futures]
-
-
-def pairwise_cosine_matrix(a, b, eps: float = COSINE_EPS,
-                           block: int = ROW_BLOCK, workers: int | None = None):
-    """N x M matrix of cos(A_i, B_j) = <A_i, B_j> / max(|A_i| |B_j|, eps).
+def pairwise_cosine_matrix(a, b):
+    """N x M matrix of cos(A_i, B_j) = <A_i, B_j> / max(|A_i| |B_j|, COSINE_EPS).
 
     Zero rows produce similarity 0. Entries land in [-1, 1] up to rounding.
     """
@@ -138,19 +126,13 @@ def pairwise_cosine_matrix(a, b, eps: float = COSINE_EPS,
     na, nb = _row_norms(a), _row_norms(b)
     out = np.empty((a.shape[0], b.shape[0]))
     bt = b.T.copy()  # contiguous for repeated GEMM against row blocks
-
-    def one_block(lo, hi):
-        g = a[lo:hi] @ bt
-        denom = np.maximum(na[lo:hi, None] * nb[None, :], eps)
-        np.divide(g, denom, out=g)
-        out[lo:hi] = g
-
-    _map_blocks(one_block, _blocks(a.shape[0], block),
-                workers if workers is not None else worker_count())
+    for lo, hi in _blocks(a.shape[0]):
+        denom = np.maximum(na[lo:hi, None] * nb[None, :], COSINE_EPS)
+        np.divide(a[lo:hi] @ bt, denom, out=out[lo:hi])
     return out
 
 
-def pairwise_cosine_matrix_naive(a, b, eps: float = COSINE_EPS):
+def pairwise_cosine_matrix_naive(a, b):
     """Reference nested-loop cosine: one dot product per row pair."""
     a, b = _check_pair(a, b)
     dot = np.dot
@@ -164,31 +146,24 @@ def pairwise_cosine_matrix_naive(a, b, eps: float = COSINE_EPS):
     out = np.empty((a.shape[0], b.shape[0]))
     for i in range(a.shape[0]):
         out[i] = list(map(a[i].dot, b_rows))
-        out[i] /= np.maximum(na[i] * nb, eps)
+        out[i] /= np.maximum(na[i] * nb, COSINE_EPS)
     return out
 
 
-def pairwise_euclidean_matrix(a, b, block: int = ROW_BLOCK,
-                              workers: int | None = None):
+def pairwise_euclidean_matrix(a, b):
     """N x M matrix of |A_i - B_j|, via the |a|^2 + |b|^2 - 2<a,b> expansion
-    with negative radicands clamped to 0. Passing the same array object for
-    both sides pins the diagonal to exactly 0."""
+    with negative radicands clamped to 0. Passing the same object for both
+    sides pins the diagonal to exactly 0."""
     a, b = _check_pair(a, b)
     same = a is b
     na2 = _sq_norms(a)
     nb2 = na2 if same else _sq_norms(b)
     out = np.empty((a.shape[0], b.shape[0]))
     bt = b.T.copy()
-
-    def one_block(lo, hi):
-        g = _euclid_rows(a[lo:hi], bt, na2[lo:hi], nb2)
-        if same:
-            for i in range(lo, hi):
-                g[i - lo, i] = 0.0
-        out[lo:hi] = g
-
-    _map_blocks(one_block, _blocks(a.shape[0], block),
-                workers if workers is not None else worker_count())
+    for lo, hi in _blocks(a.shape[0]):
+        out[lo:hi] = _euclid_rows(a[lo:hi], bt, na2[lo:hi], nb2)
+    if same:
+        np.fill_diagonal(out, 0.0)
     return out
 
 
@@ -228,7 +203,7 @@ def knn_distances(x, k: int) -> np.ndarray:
     n2 = _sq_norms(x)
     xt = x.T.copy()
     out = np.empty(n)
-    for lo, hi in _blocks(n, ROW_BLOCK):
+    for lo, hi in _blocks(n):
         d = _sq_dist_rows(x[lo:hi], xt, n2[lo:hi], n2)
         d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
         out[lo:hi] = _kth_smallest_rows(d, k)
@@ -251,7 +226,7 @@ def nearest_distances(a, b) -> np.ndarray:
     na2, nb2 = _sq_norms(a), _sq_norms(b)
     bt = b.T.copy()
     out = np.empty(a.shape[0])
-    for lo, hi in _blocks(a.shape[0], ROW_BLOCK):
+    for lo, hi in _blocks(a.shape[0]):
         out[lo:hi] = _sq_dist_rows(a[lo:hi], bt, na2[lo:hi], nb2).min(axis=1)
     return _root(out)
 

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,11 +91,17 @@ class TestEuclideanMatrix:
         out = pairwise_euclidean_matrix(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]]))
         np.testing.assert_allclose(out, [[5.0]])
 
-    def test_zero_diagonal_same_object(self):
-        m = rng_normal(Rng(5), 9, 4)
+    # inputs that need coercion too: one object is coerced once, and keeps its pin
+    @pytest.mark.parametrize("form", ["float64", "float32", "list", "fortran"])
+    @pytest.mark.parametrize("n", [9, 2 * ROW_BLOCK + 3])
+    def test_zero_diagonal_same_object(self, n, form):
+        m = rng_normal(Rng(5), n, 4)
+        m = {"float64": m, "float32": m.astype(np.float32), "list": m.tolist(),
+             "fortran": np.asfortranarray(m)}[form]
         out = pairwise_euclidean_matrix(m, m)
-        assert np.array_equal(np.diag(out), np.zeros(9))
+        assert np.array_equal(np.diag(out), np.zeros(n))
         assert np.abs(out - out.T).max() < 1e-12
+        assert np.array_equal(nearest_distances(m, m), np.zeros(n))
 
     def test_matches_per_pair_oracle(self):
         rng = Rng(6)
@@ -267,7 +278,7 @@ class TestStreamedKnn:
         nearest = pairwise_euclidean_matrix(x, x).min(axis=1)
         assert coverage(x, x, k) == float(np.mean(nearest <= full_matrix_knn(x, k))) == 1.0
 
-    # the overflow cases warn, also from the matrix kernel's worker threads
+    # the overflow cases warn from the GEMMs and the elementwise passes
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("name", sorted(SELECTION_CASES))
@@ -368,21 +379,24 @@ class TestBench:
             bench_kernels([(8, 8, 4)], reps=3, kernels=("manhattan",))
 
 
-class TestWorkerCount:
-    def test_env_parsing(self, monkeypatch):
-        from dire import worker_count
-        monkeypatch.setenv("DIRE_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("DIRE_THREADS", "0")
-        assert worker_count() >= 1
-        monkeypatch.setenv("DIRE_THREADS", "junk")
-        with pytest.raises(ParameterError):
-            worker_count()
+class TestCallerThread:
+    """Every kernel runs its row blocks on the caller's thread."""
 
-    def test_parallel_result_matches_serial(self):
-        rng = Rng(21)
-        a = rng_normal(rng.split(0), 300, 8)
-        b = rng_normal(rng.split(1), 40, 8)
-        serial = pairwise_cosine_matrix(a, b, block=64, workers=1)
-        parallel = pairwise_cosine_matrix(a, b, block=64, workers=4)
-        assert np.array_equal(serial, parallel)
+    @pytest.mark.parametrize("kernel", [pairwise_cosine_matrix, pairwise_euclidean_matrix])
+    def test_errstate_applies_to_every_row_block(self, kernel):
+        x = _all_overflowing()
+        assert x.shape[0] > 2 * ROW_BLOCK and np.all(np.isfinite(x))
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            kernel(x, x[::2])
+
+    def test_import_starts_no_thread_pool(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import sys, dire; "
+                "print('concurrent.futures' in sys.modules, dire.kernels.worker_count())")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "1"]
