@@ -14,6 +14,15 @@ FNV-1a (h <- (h ^ b) * P mod 2^64) runs here without a byte loop. P is odd with
 P mod 256 = 179, so bit j of the next low byte (s ^ b) * 179 is bit j of s ^ b
 flipped by bits < j only: each bit plane of the low bytes s_i is a prefix XOR.
 With d_i = (s_i ^ b_i) - s_i, h_m = h_0 P^m + sum_{i<m} d_i P^(m-i) mod 2^64.
+
+The closing sum, P^m (h_0 + sum_i d_i P^-i), splits i = 256 q + r. Each P^-r
+(r < 256) is cut into eight 8-bit limbs, so one float32 GEMM of the d_i, in
+rows of 256, against that (256, 8) limb table gives every row's sum per limb.
+The GEMM is exact: |d_i| <= 255 and each limb <= 255, so every partial sum
+of a row is an integer of magnitude at most 256 * 255 * 255 = 16 646 400 <
+2^24, in any summation order, fused multiply-adds included. One wrapping
+uint64 multiply-and-sum of those (row, limb) sums against P^(-256 q) * 2^(8 l)
+then closes the chunk.
 """
 
 from __future__ import annotations
@@ -38,6 +47,10 @@ EMB_MAGIC = b"EMB1"
 EMB_VERSION = 1
 EMB_HEADER = struct.Struct("<4sHII")  # magic, version, rows, cols
 _FINITE_PIECE = 1 << 16  # values per finiteness check, a 64 KiB boolean
+
+# labels per write: one join of all 100 000 labels of a 10 x 10 000 split held
+# 6.4 MiB of str objects at once and ran slower than these blocks
+_LABEL_BLOCK = 1 << 12
 
 CKPT_MAGIC = b"DIRT"
 CKPT_VERSION = 1
@@ -99,8 +112,8 @@ def write_labels(path, labels) -> None:
     labels = np.asarray(labels, dtype=np.int64)
     with open(path, "w") as fh:
         fh.write("label\n")
-        for v in labels:
-            fh.write(f"{int(v)}\n")
+        for lo in range(0, labels.size, _LABEL_BLOCK):
+            fh.write("".join(f"{v}\n" for v in labels[lo:lo + _LABEL_BLOCK].tolist()))
 
 
 def read_labels(path) -> np.ndarray:
@@ -193,76 +206,98 @@ def dump_config(cfg: RunConfig) -> str:
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
-DIGEST_CHUNK = 1 << 16
-_PIECE = 1 << 13
-# P^-i mod 2^64 for i = 256 q + r, as P^(-256 q) * P^-r
+DIGEST_CHUNK = 1 << 18
+_GEMM_BYTES = 1 << 16  # bytes per closing GEMM, so its int16/float32 scratch stays 128/256 KiB
+
+
+def _powers(base: int, count: int) -> np.ndarray:
+    """base^0 .. base^(count - 1) mod 2^64; uint64 products wrap."""
+    steps = np.full(count, base, np.uint64)
+    steps[0] = 1
+    return np.cumprod(steps)
+
+
+# P^-i mod 2^64 for i = 256 q + r is P^(-256 q) * P^-r: limb l of P^-r (8 bits
+# from bit 8 l) sits at [r, l] of the limb table, P^(-256 q) * 2^(8 l) at [q, l]
+# of the weights
 _P_INV = pow(FNV_PRIME, -1, 1 << 64)
-_INV_POWERS_LOW = np.array([pow(_P_INV, r, 1 << 64) for r in range(256)], dtype=np.uint64)
-_INV_POWERS_HIGH = np.array([pow(_P_INV, 256 * q, 1 << 64) for q in range(DIGEST_CHUNK // 256)],
-                            dtype=np.uint64)
-_WORD_SHIFTS = tuple(np.uint64(s) for s in (1, 2, 4, 8, 16, 32))
-_TOP_BIT = np.uint64(63)
+_LIMB_SHIFTS = np.arange(0, 64, 8, dtype=np.uint64)
+_INV_POWER_LIMBS = (_powers(_P_INV, 256)[:, None] >> _LIMB_SHIFTS
+                    & np.uint64(0xFF)).astype(np.float32)
+_LIMB_WEIGHTS = _powers(pow(_P_INV, 256, 1 << 64), DIGEST_CHUNK // 256)[:, None] << _LIMB_SHIFTS
+_WORD_SHIFTS = tuple(np.uint64(s) for s in (2, 4, 8, 16, 32))
+_ONE = np.uint64(1)
+_TOP_BIT = np.int64(63)
 
 
-def _fnv1a64_update(h: int, data: np.ndarray) -> int:
-    """FNV-1a state after feeding h the bytes of `data` (uint8, at most
-    DIGEST_CHUNK of them)."""
-    m = data.size
-    b = data
-    if m % 256:  # zero padding comes after every real byte and has d_i = 0
-        b = np.zeros(m + (-m % 256), np.uint8)
-        b[:m] = data
-    low = np.zeros(b.size, np.uint8)  # s_i, the low byte of the state before byte i
-    u = np.empty(b.size, np.uint8)
-    tmp = np.empty(b.size // 64, np.uint64)
-    for j in range(8):
-        # With bits < j of every s_i known, bit j of ((s_i ^ b_i) * 179) is
-        # bit j of s_(i+1) ^ s_i; bit j of s_i is the XOR of those before i.
-        np.bitwise_xor(low, b, out=u)
-        u *= 179
-        u &= 1 << j
-        words = np.packbits(u, bitorder="little").view("<u8")
-        prefix = words.copy()
-        for shift in _WORD_SHIFTS:  # inclusive prefix XOR inside each word
-            np.left_shift(prefix, shift, out=tmp)
-            prefix ^= tmp
-        np.right_shift(prefix, _TOP_BIT, out=tmp)  # each word's parity
-        carry = np.bitwise_xor.accumulate(tmp)
-        carry ^= tmp  # parity of the earlier words
-        carry ^= (h >> j) & 1  # bit j of s_0
-        prefix ^= words  # exclusive: s_i does not see byte i
-        prefix ^= np.negative(carry)
-        bits = np.unpackbits(prefix.view(np.uint8), bitorder="little")
-        bits *= 1 << j
-        low |= bits
-    # h_m = P^m (h_0 + sum_i d_i P^-i), summed in pieces whose int64
-    # temporaries stay small heap blocks
-    np.bitwise_xor(low, b, out=u)
-    tail = 0
-    for lo in range(0, b.size, _PIECE):
-        delta = u[lo:lo + _PIECE].astype(np.int64)
-        delta -= low[lo:lo + _PIECE]
-        per_256 = delta.view(np.uint64).reshape(-1, 256) @ _INV_POWERS_LOW
-        tail += int(_INV_POWERS_HIGH[lo // 256:][:per_256.size] @ per_256)
-    return pow(FNV_PRIME, m, 1 << 64) * (h + tail) & _MASK64
+def _fnv1a64_update(h: int, chunks) -> int:
+    """FNV-1a state after feeding h the bytes of each chunk in turn (uint8
+    arrays of at most DIGEST_CHUNK bytes). The scratch arrays are made at the
+    first chunk's size, and again only for a longer chunk."""
+    x = None
+    for data in chunks:
+        m = data.size
+        b = data
+        if m % 256:  # zero padding comes after every real byte and has d_i = 0
+            b = np.zeros(m + (-m % 256), np.uint8)
+            b[:m] = data
+        n = b.size
+        if x is None or n > x.size:
+            x, u = np.empty(n, np.uint8), np.empty(n, np.uint8)
+            tmp, prefix, carry = (np.empty(n // 64, np.uint64) for _ in range(3))
+            d = np.empty(min(n, _GEMM_BYTES), np.int16)
+            f = np.empty(min(n, _GEMM_BYTES), np.float32)
+        xn, un, tn, pn, cn = x[:n], u[:n], tmp[:n // 64], prefix[:n // 64], carry[:n // 64]
+        parities, signs = pn[:-1].view(np.int64), cn[1:].view(np.int64)
+        for j in range(8):
+            # xn = s ^ b with bits >= j of s still 0, so bit j of xn * 179 is
+            # bit j of s_(i+1) ^ s_i, and bit j of s_i the XOR of those before i
+            np.multiply(xn if j else b, 179, out=un)
+            un &= 1 << j
+            words = np.packbits(un, bitorder="little").view("<u8")
+            np.left_shift(words, _ONE, out=tn)
+            np.bitwise_xor(words, tn, out=pn)
+            for shift in _WORD_SHIFTS:  # inclusive prefix XOR inside each word
+                np.left_shift(pn, shift, out=tn)
+                pn ^= tn
+            # bit j of s entering each word, as 0 or all ones: bit j of h,
+            # then the parities of the words before
+            cn[:1] = -((h >> j) & 1) & _MASK64
+            np.right_shift(parities, _TOP_BIT, out=signs)
+            np.bitwise_xor.accumulate(cn, out=cn)
+            pn ^= words  # exclusive: s_i does not see byte i
+            pn ^= cn
+            bits = np.unpackbits(pn.view(np.uint8), bitorder="little")
+            if j:
+                bits *= 1 << j  # twice as fast as <<= on uint8
+                xn ^= bits
+            else:
+                np.bitwise_xor(b, bits, out=xn)
+        np.bitwise_xor(xn, b, out=un)  # s_i
+        tail = 0  # sum_i d_i P^-i with d_i = x_i - s_i
+        for lo in range(0, n, _GEMM_BYTES):
+            k = min(n - lo, _GEMM_BYTES)
+            dk, fk = d[:k], f[:k]
+            np.subtract(xn[lo:lo + k], un[lo:lo + k], out=dk, dtype=np.int16)
+            np.copyto(fk, dk)
+            limbs = (fk.reshape(-1, 256) @ _INV_POWER_LIMBS).astype(np.int64).view(np.uint64)
+            tail += int(np.vdot(limbs, _LIMB_WEIGHTS[lo // 256:][:k // 256]))
+        h = pow(FNV_PRIME, m, 1 << 64) * (h + tail) & _MASK64
+    return h
 
 
 def fnv1a64(data: bytes) -> int:
     """64-bit FNV-1a. Integrity check for manifests, not cryptographic."""
     b = np.frombuffer(data, dtype=np.uint8)
-    h = FNV_OFFSET
-    for start in range(0, b.size, DIGEST_CHUNK):
-        h = _fnv1a64_update(h, b[start:start + DIGEST_CHUNK])
-    return h
+    return _fnv1a64_update(FNV_OFFSET, (b[lo:lo + DIGEST_CHUNK]
+                                        for lo in range(0, b.size, DIGEST_CHUNK)))
 
 
 def digest_file(path) -> str:
     """FNV-1a hex of a file, read through one DIGEST_CHUNK buffer."""
-    h = FNV_OFFSET
-    buf = bytearray(DIGEST_CHUNK)
+    buf = np.empty(DIGEST_CHUNK, np.uint8)  # not zeroed: a small file touches few pages
     with open(path, "rb", buffering=0) as fh:
-        while n := fh.readinto(buf):
-            h = _fnv1a64_update(h, np.frombuffer(buf, dtype=np.uint8, count=n))
+        h = _fnv1a64_update(FNV_OFFSET, (buf[:n] for n in iter(lambda: fh.readinto(buf), 0)))
     return f"{h:016x}"
 
 

@@ -11,7 +11,8 @@ from dire import (ConfigError, DireError, FormatError, ParameterError, Rng,
                   gen_mixture, load_config, read_emb, read_labels,
                   read_teacher, rng_normal, squeeze_train, write_emb,
                   write_labels, write_teacher)
-from dire.fileio import DIGEST_CHUNK, EMB_HEADER, ExperimentManifest
+from dire.fileio import (_GEMM_BYTES, _INV_POWER_LIMBS, _LABEL_BLOCK, _LIMB_SHIFTS,
+                         DIGEST_CHUNK, EMB_HEADER, ExperimentManifest, _fnv1a64_update)
 
 
 class TestEmbFormat:
@@ -129,6 +130,14 @@ class TestLabelsCsv:
         write_labels(path, labels)
         assert np.array_equal(read_labels(path), labels)
         assert path.read_text().splitlines()[0] == "label"
+
+    @pytest.mark.parametrize("n", [0, 1, 1000, 2 * _LABEL_BLOCK + 1])
+    def test_bytes_match_one_line_per_label(self, tmp_path, n):
+        labels = Rng(n).generator.integers(-3, 1000, n)
+        path = tmp_path / "labels.csv"
+        write_labels(path, labels)
+        per_row = "label\n" + "".join(f"{int(v)}\n" for v in labels)
+        assert path.read_bytes() == per_row.encode()
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "raw.csv"
@@ -284,17 +293,17 @@ class TestCorruptInputProperties:
             pass
 
 
-def _fnv1a64_oracle(data: bytes) -> int:
-    """The FNV-1a definition, one byte at a time."""
-    h = 0xCBF29CE484222325
+def _fnv1a64_oracle(data: bytes, h: int = 0xCBF29CE484222325) -> int:
+    """The FNV-1a definition, one byte at a time, from state h."""
     for byte in data:
         h ^= byte
         h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
 
 
-CHUNK_LENGTHS = [0, 1, 63, 64, 65, DIGEST_CHUNK - 1, DIGEST_CHUNK, DIGEST_CHUNK + 1,
-                 2 * DIGEST_CHUNK + 17]
+CHUNK_LENGTHS = [0, 1, 63, 64, 65,
+                 _GEMM_BYTES - 1, _GEMM_BYTES, _GEMM_BYTES + 1, 2 * _GEMM_BYTES + 17,
+                 DIGEST_CHUNK - 1, DIGEST_CHUNK, DIGEST_CHUNK + 1, 2 * DIGEST_CHUNK + 17]
 
 
 class TestDigests:
@@ -307,6 +316,29 @@ class TestDigests:
     @given(st.binary(max_size=600))
     def test_fnv1a_matches_byte_loop(self, data):
         assert fnv1a64(data) == _fnv1a64_oracle(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, (1 << 64) - 1),
+           st.one_of(st.binary(max_size=600),
+                     st.sampled_from([255, 256, 257]).flatmap(
+                         lambda n: st.binary(min_size=n, max_size=n))),
+           st.integers(0, 600))
+    def test_update_from_any_state_matches_byte_loop(self, h, data, cut):
+        # every state bit is 1 in some h, so each plane's carry-in is
+        # exercised; a second chunk may be empty or longer than the first
+        b = np.frombuffer(data, np.uint8)
+        want = _fnv1a64_oracle(data, h)
+        assert _fnv1a64_update(h, [b]) == want
+        assert _fnv1a64_update(h, [b[:cut], b[cut:]]) == want
+
+    def test_closing_gemm_is_exact_in_float32(self):
+        # every partial sum of a GEMM row must be an integer float32 holds
+        # exactly, whatever order the GEMM sums in
+        row_length = _INV_POWER_LIMBS.shape[0]
+        limb_max = (1 << int(_LIMB_SHIFTS[1] - _LIMB_SHIFTS[0])) - 1
+        assert _INV_POWER_LIMBS.dtype == np.float32
+        assert _INV_POWER_LIMBS.min() >= 0 and _INV_POWER_LIMBS.max() <= limb_max
+        assert row_length * 255 * limb_max < 1 << (np.finfo(np.float32).nmant + 1)
 
     @pytest.mark.parametrize("n", CHUNK_LENGTHS)
     def test_fnv1a_matches_byte_loop_at_chunk_edges(self, n):
