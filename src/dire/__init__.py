@@ -22,9 +22,9 @@ from .losses import (ALL_COMPONENTS, DireWeights, LossBreakdown, cd_loss,
                      cdm_loss, dire_loss, edm_loss, finite_diff_check,
                      finite_diff_grad)
 from .teacher import (LabeledDataset, SoftLabels, TeacherModel,
-                      evaluate_student, extract_features, extract_features_vjp,
-                      gen_mixture, model_accuracy, relabel, softmax,
-                      squeeze_train, teacher_logits)
+                      evaluate_student, extract_features, gen_mixture,
+                      model_accuracy, relabel, softmax, squeeze_train,
+                      teacher_logits)
 from .synthesis import (RunConfig, SyntheticDataset, SynthesisLoss, recover,
                         total_loss_and_grad)
 from .fileio import (ExperimentManifest, digest_file, dump_config, fnv1a64,

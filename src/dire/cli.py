@@ -73,8 +73,7 @@ def _config_from_args(args) -> RunConfig:
     for key, attr in (("ipc", "ipc"), ("iters", "iters"), ("lr", "lr"),
                       ("lambda_bn", "lambda_bn"), ("r_c", "rc"), ("r_e", "re"),
                       ("reduction", "reduction"), ("real_cap", "real_cap"),
-                      ("seed", "seed"), ("temperature", "temperature"),
-                      ("optimizer", "optimizer")):
+                      ("seed", "seed"), ("temperature", "temperature")):
         v = getattr(args, attr, None)
         if v is not None:
             overrides[key] = v
@@ -270,7 +269,6 @@ def _add_config_flags(p):
     p.add_argument("--real-cap", dest="real_cap", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--temperature", type=float)
-    p.add_argument("--optimizer", choices=["gd", "momentum"])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,19 +33,21 @@ zero rows add nothing to the unit sums t_c, and the mask takes the padding
 out of the EDM distances, their inverses and the per-class divisors. By
 linearity the CD and CDM gradients are one cosine gradient with the
 direction r_c (2 a_cd s_c - a_cdm t_c), a_* being the reduction's divisors.
-`cd_loss`, `cdm_loss`, `edm_loss` and `dire_loss` compute the same terms
-class by class and serve as its oracles.
+It is the only implementation of the terms: `cd_loss`, `cdm_loss` and
+`edm_loss` run one class as a C = 1 block, and `dire_loss` runs each class
+that way in turn. The per-class oracle they are checked against lives in
+the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .embeddings import EmbeddingSet
 from .errors import ParameterError
-from .kernels import _euclid_rows, pairwise_euclidean_matrix
+from .kernels import _euclid_rows
 from .matrix import as_matrix
 
 EDM_DIST_FLOOR = 1e-12
@@ -88,124 +90,6 @@ def _unit_rows(x: np.ndarray):
     norms = np.sqrt(np.einsum("ij,ij->i", x, x))
     inv = np.where(norms >= _NORM_FLOOR, 1.0 / np.maximum(norms, _NORM_FLOOR), 0.0)
     return x * inv[:, None], inv
-
-
-def _cosine_grad(unit: np.ndarray, inv: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Gradient of sum_{i,j} cos(x_i, y_j) w.r.t. x, with t = sum_j of the
-    unit rows of y."""
-    return inv[:, None] * (t[None, :] - (unit @ t)[:, None] * unit)
-
-
-def cd_loss(e_syn_c, w: DireWeights):
-    """Pairwise cosine similarity of a synthetic class against itself.
-
-    The diagonal (each point against itself) is included by default; those
-    terms are the constant 1 and carry no gradient. Returns (value, K x D
-    gradient).
-    """
-    x = as_matrix(e_syn_c, "E_syn")
-    k = x.shape[0]
-    count = k * k if w.include_diagonal_cd else k * k - k
-    unit, inv = _unit_rows(x)
-    s = unit.sum(axis=0)
-    value = float(s @ s)
-    if not w.include_diagonal_cd:
-        value -= int(np.count_nonzero(inv))
-    # both orderings of each pair contribute, hence the factor 2
-    grad = 2.0 * _cosine_grad(unit, inv, s)
-    if w.reduction == "mean":
-        if count == 0:
-            return 0.0, np.zeros_like(x)
-        value /= count
-        grad = grad / count
-    return value, grad
-
-
-def cdm_loss(e_syn_c, e_real_c, w: DireWeights):
-    """1 - reduced pairwise cosine between synthetic and real embeddings.
-
-    Mean reduction keeps the value in [0, 2]; sum reduction subtracts the
-    raw double sum. Returns (value, gradient w.r.t. the synthetic side).
-    """
-    x = as_matrix(e_syn_c, "E_syn")
-    y = as_matrix(e_real_c, "E_real")
-    if x.shape[1] != y.shape[1]:
-        raise ParameterError(
-            f"cdm_loss: feature dims differ, {x.shape[1]} vs {y.shape[1]}")
-    unit, inv = _unit_rows(x)
-    t = _unit_rows(y)[0].sum(axis=0)
-    total = float(unit.sum(axis=0) @ t)
-    grad = -_cosine_grad(unit, inv, t)
-    if w.reduction == "mean":
-        count = x.shape[0] * y.shape[0]
-        total /= count
-        grad = grad / count
-    return 1.0 - total, grad
-
-
-def edm_loss(e_syn_c, e_real_c, w: DireWeights):
-    """Reduced pairwise Euclidean distance between synthetic and real
-    embeddings. Returns (value, gradient w.r.t. the synthetic side)."""
-    x = as_matrix(e_syn_c, "E_syn")
-    y = as_matrix(e_real_c, "E_real")
-    if x.shape[1] != y.shape[1]:
-        raise ParameterError(
-            f"edm_loss: feature dims differ, {x.shape[1]} vs {y.shape[1]}")
-    dist = pairwise_euclidean_matrix(x, y)
-    value = float(np.sum(dist))
-    wmat = 1.0 / np.maximum(dist, EDM_DIST_FLOOR)
-    grad = x * wmat.sum(axis=1)[:, None] - wmat @ y
-    if w.reduction == "mean":
-        count = x.shape[0] * y.shape[0]
-        value /= count
-        grad = grad / count
-    return value, grad
-
-
-def dire_loss(e_syn: EmbeddingSet, e_real: EmbeddingSet, w: DireWeights,
-              components=ALL_COMPONENTS):
-    """Full regularizer over all classes.
-
-    Per class combines the enabled components as r_c*(cd + cdm) + r_e*edm;
-    disabled components contribute exactly 0 to value and gradient. Every
-    real embedding given is used; `recover` caps the real side once before
-    its loop. Returns (per_class, total): per_class maps class id to its
-    LossBreakdown, total sums the values and stacks the gradients in
-    ascending class order.
-    """
-    components = tuple(components)
-    for comp in components:
-        if comp not in ALL_COMPONENTS:
-            raise ParameterError(f"dire_loss: unknown component {comp!r}")
-    for c in e_syn.classes():
-        if c not in e_real:
-            raise ParameterError(f"dire_loss: class {c} missing from real embeddings")
-    per_class: dict[int, LossBreakdown] = {}
-    tot_cd = tot_cdm = tot_edm = tot_syn = 0.0
-    grads = []
-    for c in e_syn.classes():
-        x = e_syn[c]
-        grad = np.zeros_like(x)
-        cd = cdm = edm = 0.0
-        if "cd" in components:
-            cd, g = cd_loss(x, w)
-            grad += w.r_c * g
-        if "cdm" in components:
-            cdm, g = cdm_loss(x, e_real[c], w)
-            grad += w.r_c * g
-        if "edm" in components:
-            edm, g = edm_loss(x, e_real[c], w)
-            grad += w.r_e * g
-        l_syn = w.r_c * (cd + cdm) + w.r_e * edm
-        per_class[c] = LossBreakdown(cd=cd, cdm=cdm, edm=edm, l_syn=l_syn, grad=grad)
-        tot_cd += cd
-        tot_cdm += cdm
-        tot_edm += edm
-        tot_syn += l_syn
-        grads.append(grad)
-    total = LossBreakdown(cd=tot_cd, cdm=tot_cdm, edm=tot_edm, l_syn=tot_syn,
-                          grad=np.vstack(grads))
-    return per_class, total
 
 
 @dataclass
@@ -288,6 +172,80 @@ def batched_dire_loss(x: np.ndarray, real: RealSide, w: DireWeights,
         g *= (w.r_e * per_pair)[:, None, None]
         grad += g
     return cd, cdm, edm, w.r_c * (cd + cdm) + w.r_e * edm
+
+
+def _one_class(name, x, y, w: DireWeights, components):
+    """Class x against real rows y as a C = 1 block of `batched_dire_loss`:
+    ((cd, cdm, edm, l_syn), gradient w.r.t. x)."""
+    x = as_matrix(x, "E_syn")
+    y = as_matrix(y, "E_real")
+    if x.shape[1] != y.shape[1]:
+        raise ParameterError(f"{name}: feature dims differ, {x.shape[1]} vs {y.shape[1]}")
+    grad = np.zeros_like(x)
+    real = RealSide.prepare(EmbeddingSet({0: y}), [0])
+    values = batched_dire_loss(x[None], real, w, components, grad[None])
+    return values, grad
+
+
+def cd_loss(e_syn_c, w: DireWeights):
+    """Pairwise cosine similarity of a synthetic class against itself.
+
+    The diagonal (each point against itself) is included by default; those
+    terms are the constant 1 and carry no gradient. Returns (value, K x D
+    gradient).
+    """
+    # the CD path reads only the real side's shape, so x stands in for it
+    (cd, _, _, _), grad = _one_class("cd_loss", e_syn_c, e_syn_c,
+                                     replace(w, r_c=1.0), ("cd",))
+    return cd, grad
+
+
+def cdm_loss(e_syn_c, e_real_c, w: DireWeights):
+    """1 - reduced pairwise cosine between synthetic and real embeddings.
+
+    Mean reduction keeps the value in [0, 2]; sum reduction subtracts the
+    raw double sum. Returns (value, gradient w.r.t. the synthetic side).
+    """
+    (_, cdm, _, _), grad = _one_class("cdm_loss", e_syn_c, e_real_c,
+                                      replace(w, r_c=1.0), ("cdm",))
+    return cdm, grad
+
+
+def edm_loss(e_syn_c, e_real_c, w: DireWeights):
+    """Reduced pairwise Euclidean distance between synthetic and real
+    embeddings. Returns (value, gradient w.r.t. the synthetic side)."""
+    (_, _, edm, _), grad = _one_class("edm_loss", e_syn_c, e_real_c,
+                                      replace(w, r_e=1.0), ("edm",))
+    return edm, grad
+
+
+def dire_loss(e_syn: EmbeddingSet, e_real: EmbeddingSet, w: DireWeights,
+              components=ALL_COMPONENTS):
+    """Full regularizer over all classes.
+
+    Per class combines the enabled components as r_c*(cd + cdm) + r_e*edm;
+    disabled components contribute exactly 0 to value and gradient. Every
+    real embedding given is used; `recover` caps the real side once before
+    its loop. Classes may differ in size, as each runs on its own. Returns
+    (per_class, total): per_class maps class id to its LossBreakdown, total
+    sums the values and stacks the gradients in ascending class order.
+    """
+    components = tuple(components)
+    for comp in components:
+        if comp not in ALL_COMPONENTS:
+            raise ParameterError(f"dire_loss: unknown component {comp!r}")
+    for c in e_syn.classes():
+        if c not in e_real:
+            raise ParameterError(f"dire_loss: class {c} missing from real embeddings")
+    per_class: dict[int, LossBreakdown] = {}
+    for c in e_syn.classes():
+        values, grad = _one_class("dire_loss", e_syn[c], e_real[c], w, components)
+        per_class[c] = LossBreakdown(*values, grad=grad)
+    parts = per_class.values()
+    total = LossBreakdown(cd=sum(b.cd for b in parts), cdm=sum(b.cdm for b in parts),
+                          edm=sum(b.edm for b in parts), l_syn=sum(b.l_syn for b in parts),
+                          grad=np.vstack([b.grad for b in parts]))
+    return per_class, total
 
 
 def finite_diff_grad(value_fn, e, h: float = 1e-5) -> np.ndarray:

@@ -44,8 +44,6 @@ class RunConfig:
     seed: int = 0
     init_std: float = 0.1
     temperature: float = 1.0
-    optimizer: str = "gd"
-    momentum: float = 0.9
 
     def __post_init__(self):
         if self.ipc < 1:
@@ -70,10 +68,6 @@ class RunConfig:
             raise ConfigError(f"init_std must be >= 0, got {self.init_std}")
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-        if self.optimizer not in ("gd", "momentum"):
-            raise ConfigError(f"optimizer must be 'gd' or 'momentum', got {self.optimizer!r}")
-        if not 0 <= self.momentum < 1:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
 
     def dire_weights(self) -> DireWeights:
         return DireWeights(r_c=self.r_c, r_e=self.r_e, reduction=self.reduction,
@@ -240,7 +234,6 @@ def recover(teacher: TeacherModel, real_train: LabeledDataset,
 
     objective = _Objective(teacher, labels, e_real, cfg)
 
-    velocity = np.zeros_like(points)
     trace = []
     loss = None
     for t in range(1, cfg.iters + 1):
@@ -248,11 +241,7 @@ def recover(teacher: TeacherModel, real_train: LabeledDataset,
             loss, grad = objective(points)
         except NumericalError as exc:
             raise NumericalError(f"recover: iteration {t}: {exc}") from exc
-        if cfg.optimizer == "momentum":
-            velocity = cfg.momentum * velocity + grad
-            points = points - cfg.lr * velocity
-        else:
-            points = points - cfg.lr * grad
+        points = points - cfg.lr * grad
         if not np.all(np.isfinite(points)):
             raise NumericalError(f"recover: non-finite points after iteration {t}")
         trace.append(loss)

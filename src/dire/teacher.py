@@ -251,17 +251,6 @@ def input_gradient(model: TeacherModel, acts, dlogits=None, dfeatures=None):
     return g if g is not None else np.zeros_like(acts[0])
 
 
-def extract_features_vjp(model: TeacherModel, x, upstream) -> np.ndarray:
-    """Gradient of <upstream, features(x)> with respect to x."""
-    acts = forward_activations(model, x)
-    upstream = as_matrix(upstream, "upstream")
-    if upstream.shape != acts[model.feature_layer].shape:
-        raise DimensionError(
-            f"vjp: upstream shape {upstream.shape} != features "
-            f"{acts[model.feature_layer].shape}")
-    return input_gradient(model, acts, dfeatures=upstream)
-
-
 def _cross_entropy_and_dlogits(logits, targets, want_loss=True):
     """Mean softmax cross-entropy and its logits gradient, computed in place:
     `logits` is overwritten by the gradient, which is returned. Targets are

@@ -203,10 +203,14 @@ class TestConfig:
             load_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
+        # an old file that still sets the removed optimizer fails by name
         path = tmp_path / "cfg.json"
-        path.write_text('{"lerning_rate": 0.1}')
-        with pytest.raises(ConfigError, match="lerning_rate"):
-            load_config(path)
+        for text, key in (('{"lerning_rate": 0.1}', "lerning_rate"),
+                          ('{"ipc": 4, "optimizer": "gd", "momentum": 0.9}', "momentum"),
+                          ('{"optimizer": "momentum"}', "optimizer")):
+            path.write_text(text)
+            with pytest.raises(ConfigError, match=f"^unknown config key '{key}'$"):
+                load_config(path)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -3,8 +3,8 @@ import pytest
 
 from dire import (DireWeights, EmbeddingSet, ParameterError, Rng, cd_loss,
                   cdm_loss, dire_loss, edm_loss, finite_diff_check,
-                  finite_diff_grad, pairwise_cosine_matrix, rng_normal,
-                  row_l2_normalize)
+                  finite_diff_grad, pairwise_cosine_matrix,
+                  pairwise_euclidean_matrix, rng_normal, row_l2_normalize)
 from dire.losses import ALL_COMPONENTS, RealSide, batched_dire_loss
 
 SUM = DireWeights(reduction="sum")
@@ -252,6 +252,111 @@ class TestOrthogonalityPressure:
         assert np.linalg.norm(x.sum(axis=0)) < 1e-3
 
 
+# --- per-class oracle: each term on its own, from its textbook form -------
+
+def _oracle_unit_rows(x):
+    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    inv = np.where(norms >= 1e-12, 1.0 / np.maximum(norms, 1e-12), 0.0)
+    return x * inv[:, None], inv
+
+
+def _oracle_cosine_grad(unit, inv, t):
+    """Gradient of sum_{i,j} cos(x_i, y_j) w.r.t. x, with t = sum_j of the
+    unit rows of y."""
+    return inv[:, None] * (t[None, :] - (unit @ t)[:, None] * unit)
+
+
+def _oracle_cd(x, w):
+    k = x.shape[0]
+    count = k * k if w.include_diagonal_cd else k * k - k
+    unit, inv = _oracle_unit_rows(x)
+    s = unit.sum(axis=0)
+    value = float(s @ s)
+    if not w.include_diagonal_cd:
+        value -= int(np.count_nonzero(inv))
+    # both orderings of each pair contribute, hence the factor 2
+    grad = 2.0 * _oracle_cosine_grad(unit, inv, s)
+    if w.reduction == "mean":
+        if count == 0:
+            return 0.0, np.zeros_like(x)
+        value /= count
+        grad = grad / count
+    return value, grad
+
+
+def _oracle_cdm(x, y, w):
+    unit, inv = _oracle_unit_rows(x)
+    t = _oracle_unit_rows(y)[0].sum(axis=0)
+    total = float(unit.sum(axis=0) @ t)
+    grad = -_oracle_cosine_grad(unit, inv, t)
+    if w.reduction == "mean":
+        count = x.shape[0] * y.shape[0]
+        total /= count
+        grad = grad / count
+    return 1.0 - total, grad
+
+
+def _oracle_edm(x, y, w):
+    dist = pairwise_euclidean_matrix(x, y)
+    value = float(np.sum(dist))
+    wmat = 1.0 / np.maximum(dist, 1e-12)
+    grad = x * wmat.sum(axis=1)[:, None] - wmat @ y
+    if w.reduction == "mean":
+        count = x.shape[0] * y.shape[0]
+        value /= count
+        grad = grad / count
+    return value, grad
+
+
+def _oracle_dire(e_syn, e_real, w, components=ALL_COMPONENTS):
+    """{class: (cd, cdm, edm, l_syn, grad)}, each term switched on or off."""
+    out = {}
+    for c in e_syn.classes():
+        x, y = e_syn[c], e_real[c]
+        grad = np.zeros_like(x)
+        cd = cdm = edm = 0.0
+        if "cd" in components:
+            cd, g = _oracle_cd(x, w)
+            grad += w.r_c * g
+        if "cdm" in components:
+            cdm, g = _oracle_cdm(x, y, w)
+            grad += w.r_c * g
+        if "edm" in components:
+            edm, g = _oracle_edm(x, y, w)
+            grad += w.r_e * g
+        out[c] = (cd, cdm, edm, w.r_c * (cd + cdm) + w.r_e * edm, grad)
+    return out
+
+
+def _oracle_total(per_class):
+    """Summed values and the class-ordered gradient stack of `_oracle_dire`."""
+    rows = [per_class[c] for c in sorted(per_class)]
+    return tuple(sum(r[i] for r in rows) for i in range(4)) + (np.vstack([r[4] for r in rows]),)
+
+
+def _assert_close(got, want):
+    """Values and gradients at the batched form's tolerance."""
+    assert len(got) == len(want)
+    for g, v in zip(got[:-1], want[:-1]):
+        assert g == pytest.approx(v, rel=1e-12, abs=1e-14)
+    np.testing.assert_allclose(got[-1], want[-1], rtol=1e-12, atol=1e-15)
+
+
+def _assert_public_matches_oracle(e_syn, e_real, w, components=ALL_COMPONENTS):
+    """cd_loss, cdm_loss, edm_loss and dire_loss against the oracle."""
+    want = _oracle_dire(e_syn, e_real, w, components)
+    per_class, total = dire_loss(e_syn, e_real, w, components)
+    for c in e_syn.classes():
+        x, y = e_syn[c], e_real[c]
+        _assert_close(cd_loss(x, w), _oracle_cd(x, w))
+        _assert_close(cdm_loss(x, y, w), _oracle_cdm(x, y, w))
+        _assert_close(edm_loss(x, y, w), _oracle_edm(x, y, w))
+        b = per_class[c]
+        _assert_close((b.cd, b.cdm, b.edm, b.l_syn, b.grad), want[c])
+    _assert_close((total.cd, total.cdm, total.edm, total.l_syn, total.grad),
+                  _oracle_total(want))
+
+
 def _ragged_world(k, real_sizes, cap=None, f=4, seed=41):
     """Synthetic (C, K, F) block and a real set with the given class sizes,
     optionally capped per class like recover's draw."""
@@ -263,15 +368,15 @@ def _ragged_world(k, real_sizes, cap=None, f=4, seed=41):
 
 
 def _assert_matches_oracle(x, real, w, components=ALL_COMPONENTS):
-    """batched_dire_loss against dire_loss class by class."""
+    """batched_dire_loss, and the public per-class functions built on it,
+    against the oracle class by class."""
     classes = real.classes()
-    per_class, total = dire_loss(EmbeddingSet(dict(enumerate(x))), real, w, components)
+    e_syn = EmbeddingSet(dict(enumerate(x)))
     grad = np.zeros_like(x)
     values = batched_dire_loss(x, RealSide.prepare(real, classes), w, components, grad)
-    for got, want in zip(values, (total.cd, total.cdm, total.edm, total.l_syn)):
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
-    np.testing.assert_allclose(grad, np.stack([per_class[c].grad for c in classes]),
-                               rtol=1e-12, atol=1e-15)
+    _assert_close(values + (grad.reshape(-1, x.shape[2]),),
+                  _oracle_total(_oracle_dire(e_syn, real, w, components)))
+    _assert_public_matches_oracle(e_syn, real, w, components)
 
 
 class TestBatchedDireLoss:
@@ -305,6 +410,18 @@ class TestBatchedDireLoss:
         x, real = _ragged_world(3, (4, 7))
         x[1, 2] = 0.0
         _assert_matches_oracle(x, real, DireWeights(reduction=reduction))
+
+    @pytest.mark.parametrize("reduction", ["mean", "sum"])
+    def test_dire_loss_unequal_synthetic_classes(self, reduction):
+        # one block cannot hold classes of 2, 5 and 1 points; dire_loss
+        # runs each class on its own
+        r = Rng(43)
+        _, real = _ragged_world(1, (6, 3, 8))
+        e_syn = EmbeddingSet({c: rng_normal(r.split(c), k, 4)
+                              for c, k in enumerate((2, 5, 1))})
+        w = DireWeights(r_c=1.3, r_e=0.4, reduction=reduction)
+        _assert_public_matches_oracle(e_syn, real, w)
+        assert dire_loss(e_syn, real, w)[1].grad.shape == (8, 4)
 
     def test_padded_layout(self):
         x, real = _ragged_world(3, (2, 11))
