@@ -7,6 +7,20 @@ kernel runs one loop over blocks of ROW_BLOCK = 128 rows on the caller's
 thread, so the caller's `np.errstate` applies to every block; a block against
 N = 8000 columns is 8 MiB.
 
+Every Euclidean kernel forms its squared distances |a|^2 + |b|^2 - 2<a,b>
+as one GEMM of left rows [a, |a|^2, 1], built per row block, against right
+columns [-2 b^T; 1; |b|^2], built once per call, so no full-width pass
+follows the GEMM. It reproduces the three-step sequence that the tests
+keep as its oracle (a GEMM against b^T, then `*= -2`, `+= |a|^2`,
+`+= |b|^2`): scaling by -2 is exact, so every product and partial sum of
+the k loop is exactly -2 times the oracle's, and a GEMM that accumulates k
+in order then adds |a|^2 and |b|^2 last, in that order, each with one
+rounding. On OpenBLAS 0.3.31's Haswell kernels that gives the oracle's bits
+on blocks of 4 or more rows, in every whole group of 8 columns, for
+D + 2 <= 384. The last (columns mod 8) columns, blocks of 1-3 rows
+(the small-GEMM path) and deeper D (the k loop split in two) sum in another
+order, so an entry there may differ by a few ulps of |a|^2 + |b|^2.
+
 The k-NN and nearest-neighbour distances stream the same row blocks and keep
 only a per-row result, so their memory is O(ROW_BLOCK * N), never N x N.
 They select on the squared-distance block and clamp and root only the
@@ -57,7 +71,8 @@ def _check_pair(a, b):
 
 
 def _sq_norms(m: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", m, m)
+    """Squared norms along the last axis."""
+    return np.einsum("...f,...f->...", m, m)
 
 
 def _row_norms(m: np.ndarray) -> np.ndarray:
@@ -68,30 +83,38 @@ def _blocks(n: int):
     return [(s, min(s + ROW_BLOCK, n)) for s in range(0, n, ROW_BLOCK)]
 
 
-def _sq_dist_rows(a_rows, bt, na2_rows, nb2):
-    """Squared distance rows |a|^2 + |b|^2 - 2<a,b> of one row block, not yet
+def _right_cols(b):
+    """Right operand [-2 b^T; 1; |b|^2] of `_sq_dist_rows`: (..., F + 2, M)
+    for rows b (..., M, F), built once per call."""
+    f = b.shape[-1]
+    right = np.empty(b.shape[:-2] + (f + 2, b.shape[-2]))
+    np.multiply(np.swapaxes(b, -1, -2), -2.0, out=right[..., :f, :])
+    right[..., f, :] = 1.0
+    right[..., f + 1, :] = _sq_norms(b)
+    return right
+
+
+def _sq_dist_rows(a_rows, right, out=None):
+    """Squared distance rows |a|^2 + |b|^2 - 2<a,b> of one row block: the
+    left rows [a, |a|^2, 1] times `_right_cols(b)`, one GEMM (see the module
+    docstring for why its bits are the three-step oracle's). Not yet
     clamped: rounding can leave them negative, and finite rows near the
     overflow threshold can give inf or NaN. Every blocked Euclidean kernel
-    forms its block through this one sequence on the same row blocks, so
-    they agree bit for bit. Leading axes broadcast as a stack: (C, K, F)
-    rows against (C, F, R) columns give (C, K, R) entries."""
-    g = a_rows @ bt
-    g *= -2.0
-    g += na2_rows[..., None]
-    g += nb2[..., None, :]
-    return g
+    forms its block through this one GEMM on the same row blocks, so they
+    agree bit for bit. Leading axes broadcast as a stack: (C, K, F) rows
+    against (C, F + 2, R) columns give (C, K, R) entries."""
+    f = a_rows.shape[-1]
+    left = np.empty(a_rows.shape[:-1] + (f + 2,))
+    left[..., :f] = a_rows
+    left[..., f] = _sq_norms(a_rows)
+    left[..., f + 1] = 1.0
+    return np.matmul(left, right, out=out)
 
 
 def _root(g):
     """|a - b| from squared distances in place: negatives clamped to 0."""
     np.maximum(g, 0.0, out=g)
     return np.sqrt(g, out=g)
-
-
-def _euclid_rows(a_rows, bt, na2_rows, nb2):
-    """Distance rows |a_i - b_j| of one row block: `_sq_dist_rows`, clamped
-    and rooted."""
-    return _root(_sq_dist_rows(a_rows, bt, na2_rows, nb2))
 
 
 def _kth_smallest_rows(d, k):
@@ -152,17 +175,14 @@ def pairwise_cosine_matrix_naive(a, b):
 
 def pairwise_euclidean_matrix(a, b):
     """N x M matrix of |A_i - B_j|, via the |a|^2 + |b|^2 - 2<a,b> expansion
-    with negative radicands clamped to 0. Passing the same object for both
-    sides pins the diagonal to exactly 0."""
+    (`_sq_dist_rows`) with negative radicands clamped to 0. Passing the same
+    object for both sides pins the diagonal to exactly 0."""
     a, b = _check_pair(a, b)
-    same = a is b
-    na2 = _sq_norms(a)
-    nb2 = na2 if same else _sq_norms(b)
     out = np.empty((a.shape[0], b.shape[0]))
-    bt = b.T.copy()
+    right = _right_cols(b)
     for lo, hi in _blocks(a.shape[0]):
-        out[lo:hi] = _euclid_rows(a[lo:hi], bt, na2[lo:hi], nb2)
-    if same:
+        _root(_sq_dist_rows(a[lo:hi], right, out=out[lo:hi]))
+    if a is b:
         np.fill_diagonal(out, 0.0)
     return out
 
@@ -200,11 +220,10 @@ def knn_distances(x, k: int) -> np.ndarray:
     if not 1 <= k <= n - 1:
         raise ParameterError(f"knn_distances: need 1 <= k <= {n - 1}, got k={k}")
     _require_finite(x, "knn_distances: X")
-    n2 = _sq_norms(x)
-    xt = x.T.copy()
+    right = _right_cols(x)
     out = np.empty(n)
     for lo, hi in _blocks(n):
-        d = _sq_dist_rows(x[lo:hi], xt, n2[lo:hi], n2)
+        d = _sq_dist_rows(x[lo:hi], right)
         d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
         out[lo:hi] = _kth_smallest_rows(d, k)
         del d  # free this block before the next one is formed
@@ -223,11 +242,10 @@ def nearest_distances(a, b) -> np.ndarray:
     _require_finite(b, "nearest_distances: B")
     if a is b:  # the matrix kernel pins this diagonal to 0
         return np.zeros(a.shape[0])
-    na2, nb2 = _sq_norms(a), _sq_norms(b)
-    bt = b.T.copy()
+    right = _right_cols(b)
     out = np.empty(a.shape[0])
     for lo, hi in _blocks(a.shape[0]):
-        out[lo:hi] = _sq_dist_rows(a[lo:hi], bt, na2[lo:hi], nb2).min(axis=1)
+        out[lo:hi] = _sq_dist_rows(a[lo:hi], right).min(axis=1)
     return _root(out)
 
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet
 from .errors import ParameterError
-from .kernels import _euclid_rows
+from .kernels import _right_cols, _root, _sq_dist_rows
 from .matrix import as_matrix
 
 EDM_DIST_FLOOR = 1e-12
@@ -97,13 +97,12 @@ class RealSide:
     """Real embeddings of C classes, prepared once for `batched_dire_loss`.
 
     `y` is the (C, R, F) block zero-padded to the largest class, `mask` its
-    (C, R) row mask (1 on real rows), `yt` the contiguous (C, F, R)
-    transpose for the distance GEMM, `ny2` the squared row norms and `t` the
-    (C, F) sums of the unit rows.
+    (C, R) row mask (1 on real rows), `right` the (C, F + 2, R) right
+    operand [-2 y^T; 1; |y|^2] of the EDM distance GEMM
+    (`kernels._sq_dist_rows`) and `t` the (C, F) sums of the unit rows.
     """
     y: np.ndarray
-    yt: np.ndarray
-    ny2: np.ndarray
+    right: np.ndarray
     mask: np.ndarray
     t: np.ndarray
 
@@ -120,8 +119,7 @@ class RealSide:
             y[i, :b.shape[0]] = b
             mask[i, :b.shape[0]] = 1.0
         unit = _unit_rows(y.reshape(-1, y.shape[2]))[0].reshape(y.shape)
-        return cls(y=y, yt=y.transpose(0, 2, 1).copy(),
-                   ny2=np.einsum("crf,crf->cr", y, y), mask=mask, t=unit.sum(axis=1))
+        return cls(y=y, right=_right_cols(y), mask=mask, t=unit.sum(axis=1))
 
 
 def batched_dire_loss(x: np.ndarray, real: RealSide, w: DireWeights,
@@ -161,7 +159,7 @@ def batched_dire_loss(x: np.ndarray, real: RealSide, w: DireWeights,
         along = np.einsum("ckf,cf->ck", unit, direction)
         grad += inv[..., None] * (direction[:, None, :] - along[..., None] * unit)
     if "edm" in components:
-        d = _euclid_rows(x, real.yt, np.einsum("ckf,ckf->ck", x, x), real.ny2)
+        d = _root(_sq_dist_rows(x, real.right))
         mask = real.mask[:, None, :]
         d *= mask
         edm = float(d.sum(axis=(1, 2)) @ per_pair)
@@ -182,7 +180,10 @@ def _one_class(name, x, y, w: DireWeights, components):
     if x.shape[1] != y.shape[1]:
         raise ParameterError(f"{name}: feature dims differ, {x.shape[1]} vs {y.shape[1]}")
     grad = np.zeros_like(x)
-    real = RealSide.prepare(EmbeddingSet({0: y}), [0])
+    if "cdm" in components or "edm" in components:
+        real = RealSide.prepare(EmbeddingSet({0: y}), [0])
+    else:  # CD reads only the real side's shape and mask: nothing to prepare
+        real = RealSide(y=y[None], right=None, mask=np.ones((1, y.shape[0])), t=None)
     values = batched_dire_loss(x[None], real, w, components, grad[None])
     return values, grad
 

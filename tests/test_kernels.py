@@ -16,7 +16,7 @@ from dire import (DimensionError, DireWeights, NumericalError, ParameterError,
                   knn_distances, nearest_distances, pairwise_cosine_matrix,
                   pairwise_cosine_matrix_naive, pairwise_euclidean_matrix,
                   pairwise_euclidean_matrix_naive, rng_normal)
-from dire.kernels import KNN_TILE, ROW_BLOCK
+from dire.kernels import KNN_TILE, ROW_BLOCK, _right_cols, _sq_dist_rows
 
 
 # Pure-Python triple-loop oracles, independent of any numpy vectorization.
@@ -342,6 +342,82 @@ class TestStreamedKnn:
             nearest_distances(x, clean)
         with pytest.raises(NumericalError):
             nearest_distances(clean, x)
+
+
+def three_step_sq_dist(a, b):
+    """The squared-distance sequence the augmented GEMM replaced: GEMM
+    against a transposed copy, `*= -2`, `+= |a|^2`, `+= |b|^2`. Leading
+    axes broadcast as a stack."""
+    g = a @ np.swapaxes(b, -1, -2).copy()
+    g *= -2.0
+    g += np.einsum("...f,...f->...", a, a)[..., None]
+    g += np.einsum("...f,...f->...", b, b)[..., None, :]
+    return g
+
+
+def augmented_sq_dist(a, b):
+    return _sq_dist_rows(a, _right_cols(b))
+
+
+def assert_within_ulps(got, want, a, b, ulps=4):
+    """Entries agree to `ulps` units of roundoff of |a|^2 + |b|^2."""
+    scale = (np.einsum("...f,...f->...", a, a)[..., None]
+             + np.einsum("...f,...f->...", b, b)[..., None, :])
+    assert np.all(np.abs(got - want) <= ulps * np.finfo(float).eps * scale)
+
+
+class TestAugmentedGemm:
+    """One GEMM of [a, |a|^2, 1] against [-2 b^T; 1; |b|^2] adds the same
+    terms in the same order as the three-step sequence, so on OpenBLAS's
+    Haswell kernels its bits are that sequence's on blocks of 4+ rows, in
+    every whole group of 8 columns, for D + 2 <= 384. The tail columns,
+    blocks of 1-3 rows and deeper D sum in another order, within a few ulps."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 16, 32, 256])
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_full_row_blocks_bit_equal(self, dim, scale):
+        r = Rng(90 + dim)
+        a = scale * rng_normal(r.split(0), ROW_BLOCK, dim)
+        b = scale * rng_normal(r.split(1), 1000, dim)
+        assert np.array_equal(augmented_sq_dist(a, b), three_step_sq_dist(a, b))
+
+    @pytest.mark.parametrize("k", [10, 50])
+    def test_edm_stack_bit_equal(self, k):
+        r = Rng(91 + k)
+        x = rng_normal(r.split(0), 10 * k, 32).reshape(10, k, 32)
+        y = rng_normal(r.split(1), 10 * 64, 32).reshape(10, 64, 32)
+        assert np.array_equal(augmented_sq_dist(x, y), three_step_sq_dist(x, y))
+
+    @pytest.mark.parametrize("columns", [1001, 1003, 1004, 1007])
+    def test_tail_columns_within_ulps(self, columns):
+        r = Rng(92)
+        a = rng_normal(r.split(0), ROW_BLOCK, 16)
+        b = rng_normal(r.split(1), columns, 16)
+        got, want = augmented_sq_dist(a, b), three_step_sq_dist(a, b)
+        whole = columns - columns % 8
+        assert np.array_equal(got[:, :whole], want[:, :whole])
+        assert_within_ulps(got, want, a, b)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_ragged_blocks_within_ulps(self, rows, scale):
+        r = Rng(93 + rows)
+        a = scale * rng_normal(r.split(0), rows, 32)
+        b = scale * rng_normal(r.split(1), 1000, 32)
+        assert_within_ulps(augmented_sq_dist(a, b), three_step_sq_dist(a, b), a, b)
+
+    def test_one_synthetic_point_per_class_within_ulps(self):
+        r = Rng(94)
+        x = rng_normal(r.split(0), 10, 32).reshape(10, 1, 32)
+        y = rng_normal(r.split(1), 10 * 64, 32).reshape(10, 64, 32)
+        assert_within_ulps(augmented_sq_dist(x, y), three_step_sq_dist(x, y), x, y)
+
+    def test_deep_features_within_ulps(self):
+        # D + 2 > 384 splits the GEMM's k loop into two passes
+        r = Rng(95)
+        a = rng_normal(r.split(0), ROW_BLOCK, 512)
+        b = rng_normal(r.split(1), 1000, 512)
+        assert_within_ulps(augmented_sq_dist(a, b), three_step_sq_dist(a, b), a, b)
 
 
 class TestOracleEquivalenceSweep:

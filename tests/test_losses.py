@@ -429,7 +429,13 @@ class TestBatchedDireLoss:
         assert prepared.y.shape == (2, 11, 4)
         assert prepared.mask.sum(axis=1).tolist() == [2.0, 11.0]
         assert np.all(prepared.y[0, 2:] == 0.0)
-        assert np.array_equal(prepared.yt, prepared.y.transpose(0, 2, 1))
+        # the EDM GEMM's right operand [-2 y^T; 1; |y|^2], 0 on the padding
+        right = prepared.right
+        assert right.shape == (2, 6, 11)
+        assert np.array_equal(right[:, :4], -2.0 * prepared.y.transpose(0, 2, 1))
+        assert np.all(right[:, 4] == 1.0)
+        assert np.array_equal(right[:, 5], np.einsum("crf,crf->cr", prepared.y, prepared.y))
+        assert np.all(right[0, 5, 2:] == 0.0)
 
     def test_gradient_accumulates_into_given_array(self):
         x, real = _ragged_world(3, (4, 4))
