@@ -69,16 +69,8 @@ def _load_split(prefix: str, split: str) -> LabeledDataset:
 
 def _config_from_args(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    for key, attr in (("ipc", "ipc"), ("iters", "iters"), ("lr", "lr"),
-                      ("lambda_bn", "lambda_bn"), ("r_c", "rc"), ("r_e", "re"),
-                      ("reduction", "reduction"), ("real_cap", "real_cap"),
-                      ("seed", "seed"), ("temperature", "temperature")):
-        v = getattr(args, attr, None)
-        if v is not None:
-            overrides[key] = v
-    if getattr(args, "components", None) is not None:
-        overrides["components"] = _parse_components(args.components)
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
+                 if getattr(args, f.name, None) is not None}
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
@@ -262,9 +254,12 @@ def _add_config_flags(p):
     p.add_argument("--iters", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--lambda-bn", dest="lambda_bn", type=float)
-    p.add_argument("--rc", type=float, help="cosine-term weight r_c")
-    p.add_argument("--re", type=float, help="euclidean-term weight r_e")
-    p.add_argument("--components", help="comma list from cd,cdm,edm")
+    p.add_argument("--rc", dest="r_c", metavar="RC", type=float,
+                   help="cosine-term weight r_c")
+    p.add_argument("--re", dest="r_e", metavar="RE", type=float,
+                   help="euclidean-term weight r_e")
+    p.add_argument("--components", type=_parse_components,
+                   help="comma list from cd,cdm,edm")
     p.add_argument("--reduction", choices=["sum", "mean"])
     p.add_argument("--real-cap", dest="real_cap", type=int)
     p.add_argument("--seed", type=int)

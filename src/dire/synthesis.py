@@ -139,9 +139,9 @@ def trace_to_csv(trace) -> str:
 
 class _Objective:
     """L_total = L_ce + L_bn + L_syn over constants prepared once: the
-    checked labels, the class layout and, when the regularizer is on, the
-    padded real side. Calling it on the synthetic points returns
-    (SynthesisLoss, gradient w.r.t. the points)."""
+    one-hot rows of the checked labels, the class layout and, when the
+    regularizer is on, the padded real side. Calling it on the synthetic
+    points returns (SynthesisLoss, gradient w.r.t. the points)."""
 
     def __init__(self, teacher: TeacherModel, hard_labels, e_real: EmbeddingSet,
                  cfg: RunConfig):
@@ -158,7 +158,8 @@ class _Objective:
         if not np.array_equal(labels, np.repeat(classes, self.k)):
             raise ParameterError("total_loss_and_grad: labels must be class-blocked "
                                  "with an equal count per class")
-        self.teacher, self.cfg, self.labels = teacher, cfg, labels
+        self.teacher, self.cfg = teacher, cfg
+        self.targets = np.eye(teacher.n_classes)[labels]
         self.real = None
         if cfg.components and (cfg.r_c > 0 or cfg.r_e > 0):
             self.real = RealSide.prepare(e_real, classes.tolist())
@@ -169,11 +170,11 @@ class _Objective:
         acts = forward_activations(teacher, s_points)
         feats = acts[teacher.feature_layer]
         n = feats.shape[0]
-        if n != self.labels.size:
+        if n != self.targets.shape[0]:
             raise DimensionError(
-                f"total_loss_and_grad: {n} points vs {self.labels.size} labels")
+                f"total_loss_and_grad: {n} points vs {self.targets.shape[0]} labels")
 
-        l_ce, dlogits = _cross_entropy_and_dlogits(acts[-1], self.labels)
+        l_ce, dlogits = _cross_entropy_and_dlogits(acts[-1], self.targets)
 
         mu = feats.mean(axis=0)
         var = feats.var(axis=0)

@@ -9,7 +9,8 @@ temperature softmax over teacher logits; students are fresh MLPs trained on
 the synthetic set and scored on held-out real data.
 
 All forward/backward passes are explicit numpy so input gradients can be
-verified against finite differences.
+verified against finite differences. One layer loop (`_activations`) serves
+both `forward_activations` and every SGD step.
 """
 
 from __future__ import annotations
@@ -215,12 +216,18 @@ def _forward(model: TeacherModel, x, depth: int) -> np.ndarray:
     return a
 
 
-def forward_activations(model: TeacherModel, x):
-    """All layer activations: [input, tanh hidden..., logits]."""
-    acts = [_checked_input(model, x)]
+def _activations(model: TeacherModel, x: np.ndarray) -> list:
+    """All layer activations of the checked float64 block x; x is the first
+    entry, not a copy."""
+    acts = [x]
     for l in range(len(model.weights)):
         acts.append(_layer(model, acts[-1], l))
     return acts
+
+
+def forward_activations(model: TeacherModel, x):
+    """All layer activations: [input, tanh hidden..., logits]."""
+    return _activations(model, _checked_input(model, x))
 
 
 def teacher_logits(model: TeacherModel, x) -> np.ndarray:
@@ -253,11 +260,9 @@ def input_gradient(model: TeacherModel, acts, dlogits=None, dfeatures=None):
 
 def _cross_entropy_and_dlogits(logits, targets, want_loss=True):
     """Mean softmax cross-entropy and its logits gradient, computed in place:
-    `logits` is overwritten by the gradient, which is returned. Targets are
-    row-stochastic soft distributions; integer targets are hard labels and
-    become one-hot rows. With want_loss=False the loss is None."""
-    if targets.ndim == 1:
-        targets = np.eye(logits.shape[1])[targets]
+    `logits` is overwritten by the gradient, which is returned. `targets`
+    holds one probability row per logits row (one-hot rows for hard labels).
+    With want_loss=False the loss is None."""
     n = logits.shape[0]
     z = logits
     z -= z.max(axis=1, keepdims=True)
@@ -269,17 +274,21 @@ def _cross_entropy_and_dlogits(logits, targets, want_loss=True):
     return loss, z
 
 
-def _sgd_train(points, targets, dim, hidden_sizes, n_classes, epochs, lr,
-               seed, batch_size):
+def _sgd_train(points, targets, hidden_sizes, n_classes, epochs, lr, seed,
+               batch_size):
     """Minibatch SGD on mean softmax cross-entropy against hard labels or
-    soft target rows. Each epoch gathers its shuffled rows and target rows
-    once; each step runs the forward pass, the CE gradient and the backward
-    pass with in-place elementwise ops, in the floating-point order of
-    forward_activations and input_gradient. Weights are checked for
-    finiteness once per epoch."""
+    soft target rows, from the seeded init_mlp model; zero epochs return
+    that model untouched. Each epoch gathers its shuffled rows and target
+    rows once. Each step runs forward_activations' layers, the CE gradient
+    and a backward pass in input_gradient's floating-point order with
+    in-place elementwise ops, and updates the model's arrays in place.
+    Weights are checked for finiteness once per epoch."""
     if batch_size < 1:
         raise ParameterError(f"training: batch_size must be >= 1, got {batch_size}")
-    weights, biases = init_mlp(dim, hidden_sizes, n_classes, seed)
+    if lr < 0:
+        raise ParameterError(f"training: lr must be >= 0, got {lr}")
+    weights, biases = init_mlp(points.shape[1], hidden_sizes, n_classes, seed)
+    model = TeacherModel(weights, biases, feature_layer=len(hidden_sizes))
     if targets.ndim == 1:
         targets = np.eye(n_classes)[targets]
     n = points.shape[0]
@@ -288,14 +297,8 @@ def _sgd_train(points, targets, dim, hidden_sizes, n_classes, epochs, lr,
         order = shuffle.split(epoch).generator.permutation(n)
         xs, ts = points[order], targets[order]
         for lo in range(0, n, batch_size):
-            acts = [xs[lo:lo + batch_size]]
-            for w, b in zip(weights[:-1], biases[:-1]):
-                z = acts[-1] @ w
-                z += b
-                acts.append(np.tanh(z, out=z))
-            logits = acts[-1] @ weights[-1]
-            logits += biases[-1]
-            _, g = _cross_entropy_and_dlogits(logits, ts[lo:lo + batch_size],
+            acts = _activations(model, xs[lo:lo + batch_size])
+            _, g = _cross_entropy_and_dlogits(acts[-1], ts[lo:lo + batch_size],
                                               want_loss=False)
             for layer in range(len(weights) - 1, -1, -1):
                 dw = acts[layer].T @ g
@@ -312,7 +315,7 @@ def _sgd_train(points, targets, dim, hidden_sizes, n_classes, epochs, lr,
                 biases[layer] -= db
         if not all(np.isfinite(p).all() for p in weights + biases):
             raise TrainingError(f"training diverged at epoch {epoch}")
-    return TeacherModel(weights, biases, feature_layer=len(hidden_sizes))
+    return model
 
 
 def model_accuracy(model: TeacherModel, data: LabeledDataset) -> float:
@@ -330,10 +333,8 @@ def squeeze_train(train: LabeledDataset, hidden_sizes=(32,), epochs: int = 30,
     """
     if epochs < 1:
         raise ParameterError(f"squeeze_train: need epochs >= 1, got {epochs}")
-    if lr < 0:
-        raise ParameterError(f"squeeze_train: lr must be >= 0, got {lr}")
-    model = _sgd_train(train.points, train.labels, train.points.shape[1],
-                       hidden_sizes, train.n_classes, epochs, lr, seed, batch_size)
+    model = _sgd_train(train.points, train.labels, hidden_sizes, train.n_classes,
+                       epochs, lr, seed, batch_size)
     feats = extract_features(model, train.points)
     model.feature_mean = feats.mean(axis=0)
     model.feature_var = feats.var(axis=0)
@@ -377,10 +378,6 @@ def evaluate_student(points, labels, test: LabeledDataset, hidden_sizes=(32,),
         n_classes = test.n_classes
         if targets.size and (targets.min() < 0 or targets.max() >= n_classes):
             raise ParameterError(f"evaluate_student: labels must lie in [0, {n_classes})")
-    if epochs == 0:
-        weights, biases = init_mlp(points.shape[1], hidden_sizes, n_classes, seed)
-        model = TeacherModel(weights, biases, feature_layer=len(hidden_sizes))
-    else:
-        model = _sgd_train(points, targets, points.shape[1], hidden_sizes,
-                           n_classes, epochs, lr, seed, batch_size)
+    model = _sgd_train(points, targets, hidden_sizes, n_classes, epochs, lr, seed,
+                       batch_size)
     return model_accuracy(model, test)

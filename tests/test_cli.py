@@ -96,11 +96,14 @@ class TestUsageErrors:
          "--data", "{data}"),
         ("evaluate", "--points", "{tmp}/p.emb", "--soft", "{tmp}/soft2.emb",
          "--data", "{data}"),
-    ], ids=["batch-neg", "batch-zero", "label-neg", "label-big", "soft-width"])
+        ("evaluate", "--points", "{tmp}/p.emb", "--labels", "{tmp}/ok.csv",
+         "--data", "{data}", "--lr", "-1"),
+    ], ids=["batch-neg", "batch-zero", "label-neg", "label-big", "soft-width", "lr-neg"])
     def test_bad_training_input_is_one_line_domain_error(self, capsys, tmp_path,
                                                          toy_data, argv):
         write_labels(tmp_path / "neg.csv", [0, 1, 2, 0, 1, -1])
         write_labels(tmp_path / "big.csv", [0, 1, 2, 0, 1, 5])
+        write_labels(tmp_path / "ok.csv", [0, 1, 2, 0, 1, 2])
         write_emb(tmp_path / "soft2.emb", np.full((6, 2), 0.5))
         code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path, data=toy_data)
                                            for a in argv))

@@ -65,7 +65,7 @@ class TestTotalLossAndGrad:
         from dire.teacher import (_cross_entropy_and_dlogits,
                                   forward_activations, input_gradient)
         acts = forward_activations(teacher, pts)
-        _, dlogits = _cross_entropy_and_dlogits(acts[-1], labels)
+        _, dlogits = _cross_entropy_and_dlogits(acts[-1], np.eye(3)[labels])
         ce_grad = input_gradient(teacher, acts, dlogits=dlogits)
         np.testing.assert_allclose(grad, ce_grad, atol=1e-12)
 

@@ -166,9 +166,17 @@ class TestSgdMatchesPerStepOracle:
         train, _ = gen_mixture(3, 6, 30, 0.3, seed=8)
         targets = (relabel(squeeze_train(train, (6,), epochs=3, seed=1), train.points).probs
                    if soft else train.labels)
-        got = _sgd_train(train.points, targets, 6, hidden, 3, 4, 0.3, 5, batch_size)
+        got = _sgd_train(train.points, targets, hidden, 3, 4, 0.3, 5, batch_size)
         want = _oracle_sgd(train.points, targets, hidden, 3, 4, 0.3, 5, batch_size)
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
+
+    def test_zero_epochs_return_seeded_init(self):
+        train, _ = gen_mixture(3, 6, 30, 0.3, seed=8)
+        got = _sgd_train(train.points, train.labels, (10, 8), 3, 0, 0.3, 5, 16)
+        weights, biases = init_mlp(6, (10, 8), 3, 5)
+        assert got.feature_layer == 2
+        for a, b in zip(got.weights + got.biases, weights + biases):
             assert np.array_equal(a, b)
 
     def test_squeeze_teacher_bit_identical(self):
@@ -368,6 +376,17 @@ class TestEvaluateStudent:
                                epochs=0, lr=0.1, seed=11)
         assert abs(acc - 0.1) <= 0.15
 
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+    def test_zero_epochs_score_seeded_init(self, soft):
+        train, test = gen_mixture(4, 6, 30, 0.2, seed=11)
+        # soft rows may be wider than the test split; the student follows them
+        n_classes = 5 if soft else 4
+        labels = (SoftLabels(np.full((len(train), 5), 0.2), temperature=1.0) if soft
+                  else train.labels)
+        init = TeacherModel(*init_mlp(6, (16,), n_classes, 11), feature_layer=1)
+        acc = evaluate_student(train.points, labels, test, (16,), epochs=0, seed=11)
+        assert acc == model_accuracy(init, test)
+
     def test_real_copy_matches_teacher_ballpark(self):
         train, test = gen_mixture(4, 8, 100, 0.15, seed=13)
         teacher = squeeze_train(train, (16,), epochs=30, lr=0.2, seed=13)
@@ -399,6 +418,14 @@ class TestEvaluateStudent:
         with pytest.raises(ParameterError, match="batch_size"):
             evaluate_student(train.points, train.labels, test, (4,), epochs=1,
                              batch_size=batch_size)
+
+    @pytest.mark.parametrize("lr", [-5.0, -1e-3])
+    def test_lr_must_be_non_negative(self, lr):
+        train, test = gen_mixture(3, 4, 10, 0.2, seed=1)
+        with pytest.raises(ParameterError, match="lr"):
+            squeeze_train(train, (4,), epochs=1, lr=lr)
+        with pytest.raises(ParameterError, match="lr"):
+            evaluate_student(train.points, train.labels, test, (4,), epochs=1, lr=lr)
 
     @pytest.mark.parametrize("bad_label", [-1, 3])
     def test_hard_labels_outside_test_classes_rejected(self, bad_label):
