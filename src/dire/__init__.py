@@ -25,8 +25,7 @@ from .teacher import (LabeledDataset, SoftLabels, TeacherModel,
                       evaluate_student, extract_features, gen_mixture,
                       model_accuracy, relabel, softmax, squeeze_train,
                       teacher_logits)
-from .synthesis import (RunConfig, SyntheticDataset, SynthesisLoss, recover,
-                        total_loss_and_grad)
+from .synthesis import Objective, RunConfig, SyntheticDataset, recover
 from .fileio import (ExperimentManifest, digest_file, dump_config, fnv1a64,
                      load_config, read_emb, read_labels, read_manifest,
                      read_teacher, write_emb, write_labels, write_manifest,

@@ -142,8 +142,8 @@ def cmd_recover(args) -> int:
         write_labels(syn_labels, syn.labels)
         write_emb(soft_emb, soft.probs)
         Path(trace_csv).write_text(trace_to_csv(syn.trace))
-    print(json.dumps({"iterations": syn.iterations,
-                      "final_total": syn.final_loss.total}))
+    print(json.dumps({"iterations": len(syn.trace),
+                      "final_total": float(syn.trace[-1, -1])}))
     return 0
 
 

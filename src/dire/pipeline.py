@@ -20,8 +20,9 @@ from .errors import ParameterError
 from .kernels import knn_distances
 from .metrics import covered_fraction, report_with_coverage
 from .synthesis import RunConfig, SyntheticDataset, recover
-from .teacher import (LabeledDataset, TeacherModel, evaluate_student,
-                      extract_features, gen_mixture, relabel, squeeze_train)
+from .teacher import (LabeledDataset, TeacherModel, check_sgd_options,
+                      evaluate_student, extract_features, gen_mixture, relabel,
+                      squeeze_train)
 
 DEFAULT_BENCHMARK = {
     "n_classes": 10,
@@ -277,9 +278,11 @@ def ablate(teacher: TeacherModel, real_train: LabeledDataset,
            k: int = 5, student_hidden=(32,), student_epochs: int = 60,
            student_lr: float = 0.1) -> AblationReport:
     """Run recover once per component mask under shared seeds and report raw
-    plus min-max-normalized diversity metrics with student accuracy."""
+    plus min-max-normalized diversity metrics with student accuracy. Every
+    option is checked before the first recover."""
     if not masks:
         raise ParameterError("ablate: need at least one mask")
+    check_sgd_options(student_epochs, student_lr)
     ref = RealReference.build(teacher, real_train, k)
     b = dict(student_hidden=student_hidden, student_epochs=student_epochs,
              student_lr=student_lr)

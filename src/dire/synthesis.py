@@ -9,14 +9,16 @@ where L_ce is mean teacher cross-entropy against the hard labels, L_bn
 matches batch feature statistics to the statistics stored at squeeze time,
 and L_syn is the diversity regularizer with any subset of its components
 enabled. Real embeddings are extracted, capped and prepared once up front
-(the teacher is frozen); all gradients flow to the synthetic points through
-the teacher's explicit backward pass.
+into an `Objective` (the teacher is frozen); all gradients flow to the
+synthetic points through the teacher's explicit backward pass. The trace is
+one (iters, len(TRACE_COLUMNS)) array whose row t - 1 holds iteration t's
+terms, as the `Objective` call returned them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,61 +104,53 @@ class RunConfig:
 
 
 @dataclass
-class SynthesisLoss:
-    """One iteration's loss values."""
-    l_ce: float
-    l_bn: float
-    cd: float
-    cdm: float
-    edm: float
-    l_syn: float
-    total: float
-
-    def to_dict(self):
-        return dataclasses.asdict(self)
-
-
-@dataclass
 class SyntheticDataset:
+    """Recovered points, their fixed hard labels and the trace: one row per
+    iteration, in TRACE_COLUMNS order."""
     points: np.ndarray
     labels: np.ndarray
+    trace: np.ndarray
     soft_labels: object = None
-    iterations: int = 0
-    final_loss: SynthesisLoss | None = None
-    trace: list = field(default_factory=list)
 
 
-TRACE_CSV_HEADER = "iter,l_ce,l_bn,cd,cdm,edm,total"
+TRACE_COLUMNS = ("l_ce", "l_bn", "cd", "cdm", "edm", "total")
 
 
-def trace_to_csv(trace) -> str:
-    lines = [TRACE_CSV_HEADER]
-    for i, row in enumerate(trace, start=1):
-        lines.append(f"{i},{row.l_ce:.9g},{row.l_bn:.9g},{row.cd:.9g},"
-                     f"{row.cdm:.9g},{row.edm:.9g},{row.total:.9g}")
+def trace_to_csv(trace: np.ndarray) -> str:
+    lines = ["iter," + ",".join(TRACE_COLUMNS)]
+    lines += [f"{i}," + ",".join(f"{v:.9g}" for v in row)
+              for i, row in enumerate(trace.tolist(), start=1)]
     return "\n".join(lines) + "\n"
 
 
-class _Objective:
+class Objective:
     """L_total = L_ce + L_bn + L_syn over constants prepared once: the
     one-hot rows of the checked labels, the class layout and, when the
     regularizer is on, the padded real side. Calling it on the synthetic
-    points returns (SynthesisLoss, gradient w.r.t. the points)."""
+    points returns (row, gradient w.r.t. the points), the row being this
+    evaluation's float64 values in TRACE_COLUMNS order.
+
+    The statistics term couples the full batch. The regularizer runs on the
+    feature-layer activations, all classes at once, against all of `e_real`
+    (cfg.real_cap is applied by `recover`, not here). Labels must be
+    class-blocked with an equal count per class, as `class_blocked_labels`
+    makes them.
+    """
 
     def __init__(self, teacher: TeacherModel, hard_labels, e_real: EmbeddingSet,
                  cfg: RunConfig):
         if teacher.feature_mean is None or teacher.feature_var is None:
-            raise ParameterError("total_loss_and_grad: teacher has no stored feature stats")
+            raise ParameterError("Objective: teacher has no stored feature stats")
         labels = np.asarray(hard_labels, dtype=np.int64)
         if (labels.ndim != 1 or labels.size == 0 or labels.min() < 0
                 or labels.max() >= teacher.n_classes):
-            raise ParameterError("total_loss_and_grad: labels must be a non-empty 1-D "
+            raise ParameterError("Objective: labels must be a non-empty 1-D "
                                  f"array in [0, {teacher.n_classes})")
         classes = np.unique(labels)
         self.k = labels.size // classes.size
         # the regularizer reshapes features to (C, K, F): never mix classes
         if not np.array_equal(labels, np.repeat(classes, self.k)):
-            raise ParameterError("total_loss_and_grad: labels must be class-blocked "
+            raise ParameterError("Objective: labels must be class-blocked "
                                  "with an equal count per class")
         self.teacher, self.cfg = teacher, cfg
         self.targets = np.eye(teacher.n_classes)[labels]
@@ -172,7 +166,7 @@ class _Objective:
         n = feats.shape[0]
         if n != self.targets.shape[0]:
             raise DimensionError(
-                f"total_loss_and_grad: {n} points vs {self.targets.shape[0]} labels")
+                f"Objective: {n} points vs {self.targets.shape[0]} labels")
 
         l_ce, dlogits = _cross_entropy_and_dlogits(acts[-1], self.targets)
 
@@ -191,27 +185,12 @@ class _Objective:
         else:
             cd = cdm = edm = l_syn = 0.0
 
-        loss = SynthesisLoss(l_ce=l_ce, l_bn=l_bn, cd=cd, cdm=cdm, edm=edm,
-                             l_syn=l_syn, total=l_ce + l_bn + l_syn)
         for name, v in (("l_ce", l_ce), ("l_bn", l_bn), ("l_syn", l_syn)):
             if not np.isfinite(v):
-                raise NumericalError(f"total_loss_and_grad: non-finite {name}")
+                raise NumericalError(f"Objective: non-finite {name}")
+        row = np.array([l_ce, l_bn, cd, cdm, edm, l_ce + l_bn + l_syn])
         grad = input_gradient(teacher, acts, dlogits=dlogits, dfeatures=dfeats)
-        return loss, grad
-
-
-def total_loss_and_grad(teacher: TeacherModel, s_points, hard_labels,
-                        e_real: EmbeddingSet, cfg: RunConfig):
-    """Assemble L_ce + L_bn + L_syn on the current synthetic points.
-
-    Returns (SynthesisLoss, gradient w.r.t. s_points). The statistics term
-    couples the full batch; the regularizer is evaluated on the
-    feature-layer activations, all classes at once, against all of `e_real`
-    (cfg.real_cap is applied by `recover`, not here). Labels must be
-    class-blocked with an equal count per class, as `class_blocked_labels`
-    makes them. `recover` prepares the constants once and reuses them.
-    """
-    return _Objective(teacher, hard_labels, e_real, cfg)(s_points)
+        return row, grad
 
 
 def class_blocked_labels(n_classes: int, ipc: int) -> np.ndarray:
@@ -233,18 +212,15 @@ def recover(teacher: TeacherModel, real_train: LabeledDataset,
     e_real = EmbeddingSet.from_labeled(real_emb, real_train.labels).subsample(
         cfg.real_cap, Rng(cfg.seed))
 
-    objective = _Objective(teacher, labels, e_real, cfg)
+    objective = Objective(teacher, labels, e_real, cfg)
 
-    trace = []
-    loss = None
+    trace = np.empty((cfg.iters, len(TRACE_COLUMNS)))
     for t in range(1, cfg.iters + 1):
         try:
-            loss, grad = objective(points)
+            trace[t - 1], grad = objective(points)
         except NumericalError as exc:
             raise NumericalError(f"recover: iteration {t}: {exc}") from exc
         points = points - cfg.lr * grad
         if not np.all(np.isfinite(points)):
             raise NumericalError(f"recover: non-finite points after iteration {t}")
-        trace.append(loss)
-    return SyntheticDataset(points=points, labels=labels, soft_labels=None,
-                            iterations=cfg.iters, final_loss=loss, trace=trace)
+    return SyntheticDataset(points=points, labels=labels, trace=trace)

@@ -274,6 +274,18 @@ def _cross_entropy_and_dlogits(logits, targets, want_loss=True):
     return loss, z
 
 
+def check_sgd_options(epochs: int, lr: float, batch_size: int = 1) -> None:
+    """The rules every SGD run's options obey, checked by `_sgd_train` and,
+    before any other work, by callers that train last, like `pipeline.ablate`
+    (which leaves batch_size at the smallest valid value)."""
+    if epochs < 0:
+        raise ParameterError(f"training: need epochs >= 0, got {epochs}")
+    if batch_size < 1:
+        raise ParameterError(f"training: batch_size must be >= 1, got {batch_size}")
+    if lr < 0:
+        raise ParameterError(f"training: lr must be >= 0, got {lr}")
+
+
 def _sgd_train(points, targets, hidden_sizes, n_classes, epochs, lr, seed,
                batch_size):
     """Minibatch SGD on mean softmax cross-entropy against hard labels or
@@ -283,10 +295,7 @@ def _sgd_train(points, targets, hidden_sizes, n_classes, epochs, lr, seed,
     and a backward pass in input_gradient's floating-point order with
     in-place elementwise ops, and updates the model's arrays in place.
     Weights are checked for finiteness once per epoch."""
-    if batch_size < 1:
-        raise ParameterError(f"training: batch_size must be >= 1, got {batch_size}")
-    if lr < 0:
-        raise ParameterError(f"training: lr must be >= 0, got {lr}")
+    check_sgd_options(epochs, lr, batch_size)
     weights, biases = init_mlp(points.shape[1], hidden_sizes, n_classes, seed)
     model = TeacherModel(weights, biases, feature_layer=len(hidden_sizes))
     if targets.ndim == 1:
@@ -359,8 +368,6 @@ def evaluate_student(points, labels, test: LabeledDataset, hidden_sizes=(32,),
     """Train a fresh student on (points, labels) and return its top-1
     accuracy on the test split. `labels` may be hard class ids or
     SoftLabels; epochs=0 scores the seeded initialization as-is."""
-    if epochs < 0:
-        raise ParameterError(f"evaluate_student: need epochs >= 0, got {epochs}")
     points = as_matrix(points, "points")
     if isinstance(labels, SoftLabels):
         targets = labels.probs

@@ -17,16 +17,16 @@ import numpy as np
 import pytest
 
 import dire
-from dire import (DireWeights, EmbeddingSet, Rng, RunConfig, cd_loss,
-                  cdm_loss, coverage, dire_loss, edm_loss, finite_diff_check,
-                  gen_mixture, intra_class_cosine, pairwise_cosine_matrix,
-                  pairwise_euclidean_matrix, read_emb, recover, rng_normal,
-                  row_l2_normalize, squeeze_train, total_loss_and_grad,
+from dire import (DireWeights, EmbeddingSet, Objective, Rng, RunConfig,
+                  cd_loss, cdm_loss, coverage, dire_loss, edm_loss,
+                  finite_diff_check, gen_mixture, intra_class_cosine,
+                  pairwise_cosine_matrix, pairwise_euclidean_matrix, read_emb,
+                  recover, rng_normal, row_l2_normalize, squeeze_train,
                   vendi_score, write_emb)
 from dire.cli import main as cli_main
 from dire.fileio import digest_file, read_manifest
 from dire.kernels import bench_kernels
-from dire.synthesis import class_blocked_labels
+from dire.synthesis import TRACE_COLUMNS, class_blocked_labels
 from dire.teacher import extract_features
 
 
@@ -131,9 +131,8 @@ def test_criterion_2_gradient_suite():
         pts = rng_normal(r.split(6), 4, 4)
 
         def total_fn(m):
-            loss, grad = total_loss_and_grad(teacher, m, total_labels,
-                                             e_real_t, total_cfg)
-            return loss.total, grad
+            row, grad = Objective(teacher, total_labels, e_real_t, total_cfg)(m)
+            return row[TRACE_COLUMNS.index("total")], grad
 
         worst["total"] = max(worst["total"], finite_diff_check(total_fn, pts, h))
 

@@ -33,11 +33,11 @@ def _write_nan_emb(path, rows, cols):
     path.write_bytes(EMB_HEADER.pack(b"EMB1", 1, rows, cols) + payload.tobytes())
 
 
-def _inconsistent_checkpoint(path, stats_dim=10, second_in=10):
-    """Write a DIRT file whose layers or stats disagree, bypassing the
-    model's own checks."""
+def _checkpoint(path, stats_dim=10, second_in=10, in_dim=6):
+    """Write an all-zero in_dim -> 10 -> 3 DIRT file, bypassing the model's
+    own checks, so other arguments make its layers or stats disagree."""
     write_teacher(path, SimpleNamespace(
-        weights=[np.zeros((6, 10)), np.zeros((second_in, 3))],
+        weights=[np.zeros((in_dim, 10)), np.zeros((second_in, 3))],
         biases=[np.zeros(10), np.zeros(3)], feature_layer=1,
         feature_mean=np.zeros(stats_dim), feature_var=np.ones(stats_dim)))
 
@@ -87,28 +87,37 @@ class TestUsageErrors:
         assert code == 1
         assert err.count("\n") == 1 and err.startswith("dire: error:") and flag in err
 
-    @pytest.mark.parametrize("argv", [
-        ("squeeze", "--data", "{data}", "--batch-size", "-5", "--out", "{tmp}/t"),
-        ("squeeze", "--data", "{data}", "--batch-size", "0", "--out", "{tmp}/t"),
-        ("evaluate", "--points", "{tmp}/p.emb", "--labels", "{tmp}/neg.csv",
-         "--data", "{data}"),
-        ("evaluate", "--points", "{tmp}/p.emb", "--labels", "{tmp}/big.csv",
-         "--data", "{data}"),
-        ("evaluate", "--points", "{tmp}/p.emb", "--soft", "{tmp}/soft2.emb",
-         "--data", "{data}"),
-        ("evaluate", "--points", "{tmp}/p.emb", "--labels", "{tmp}/ok.csv",
-         "--data", "{data}", "--lr", "-1"),
-    ], ids=["batch-neg", "batch-zero", "label-neg", "label-big", "soft-width", "lr-neg"])
+    @pytest.mark.parametrize("argv, names", [
+        (("squeeze", "--data", "{data}", "--batch-size", "-5", "--out", "{tmp}/t"),
+         "batch_size"),
+        (("squeeze", "--data", "{data}", "--batch-size", "0", "--out", "{tmp}/t"),
+         "batch_size"),
+        (("evaluate", "--points", "{tmp}/p.emb", "--labels", "{tmp}/neg.csv",
+          "--data", "{data}"), "labels"),
+        (("evaluate", "--points", "{tmp}/p.emb", "--labels", "{tmp}/big.csv",
+          "--data", "{data}"), "labels"),
+        (("evaluate", "--points", "{tmp}/p.emb", "--soft", "{tmp}/soft2.emb",
+          "--data", "{data}"), "soft labels"),
+        (("evaluate", "--points", "{tmp}/p.emb", "--labels", "{tmp}/ok.csv",
+          "--data", "{data}", "--lr", "-1"), "lr must be >= 0"),
+        # the teacher takes 4-wide input and the data is 6 wide, so any work
+        # fails: only a check made before it can name the student lr
+        (("ablate", "--teacher", "{tmp}/dim4.ckpt", "--data", "{data}",
+          "--student-lr", "-5", "--out", "{tmp}/a"), "lr must be >= 0"),
+    ], ids=["batch-neg", "batch-zero", "label-neg", "label-big", "soft-width", "lr-neg",
+            "ablate-lr-neg"])
     def test_bad_training_input_is_one_line_domain_error(self, capsys, tmp_path,
-                                                         toy_data, argv):
+                                                         toy_data, argv, names):
         write_labels(tmp_path / "neg.csv", [0, 1, 2, 0, 1, -1])
         write_labels(tmp_path / "big.csv", [0, 1, 2, 0, 1, 5])
         write_labels(tmp_path / "ok.csv", [0, 1, 2, 0, 1, 2])
         write_emb(tmp_path / "soft2.emb", np.full((6, 2), 0.5))
+        _checkpoint(tmp_path / "dim4.ckpt", in_dim=4)
         code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path, data=toy_data)
                                            for a in argv))
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and err.startswith("dire: error:")
+        assert names in err
 
     @pytest.mark.parametrize("command, stats_dim, second_in", [
         ("extract", 10, 8), ("relabel", 10, 8), ("recover", 10, 8), ("recover", 2, 10),
@@ -116,7 +125,7 @@ class TestUsageErrors:
     def test_inconsistent_checkpoint_is_one_line_domain_error(
             self, capsys, tmp_path, toy_data, command, stats_dim, second_in):
         ckpt = tmp_path / "bad.ckpt"
-        _inconsistent_checkpoint(ckpt, stats_dim, second_in)
+        _checkpoint(ckpt, stats_dim, second_in)
         if command == "recover":
             argv = ("recover", "--teacher", str(ckpt), "--data", toy_data,
                     "--iters", "2", "--out", str(tmp_path / "run"))
@@ -240,6 +249,18 @@ class TestPipeline:
         root, _, _, out = pipeline_dir
         header = (root / "run.trace.csv").read_text().splitlines()[0]
         assert header == "iter,l_ce,l_bn,cd,cdm,edm,total"
+
+    def test_printed_final_total_is_the_last_trace_row(self, capsys, pipeline_dir,
+                                                       tmp_path):
+        _, data, ckpt, _ = pipeline_dir
+        code, out, _ = run_cli(capsys, "recover", "--teacher", ckpt, "--data", data,
+                               "--ipc", "2", "--iters", "7", "--out", str(tmp_path / "r"))
+        assert code == 0
+        printed = json.loads(out)
+        header, *_, last = (tmp_path / "r.trace.csv").read_text().splitlines()
+        last = dict(zip(header.split(","), last.split(",")))
+        assert printed["iterations"] == int(last["iter"]) == 7
+        assert f"{printed['final_total']:.9g}" == last["total"]
 
     def test_relabel_subcommand(self, capsys, pipeline_dir):
         root, _, ckpt, out = pipeline_dir

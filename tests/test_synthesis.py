@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from dire import (ConfigError, DimensionError, EmbeddingSet, NumericalError,
-                  ParameterError, RunConfig, Rng, ablate, dire_loss,
+                  Objective, ParameterError, RunConfig, Rng, ablate, dire_loss,
                   extract_features, finite_diff_check, gen_mixture, recover,
-                  rng_normal, squeeze_train, total_loss_and_grad)
+                  rng_normal, squeeze_train)
 from dire.losses import RealSide
-from dire.synthesis import class_blocked_labels, trace_to_csv
+from dire.synthesis import TRACE_COLUMNS, class_blocked_labels, trace_to_csv
 from dire.teacher import forward_activations, input_gradient
 
 
@@ -25,6 +25,11 @@ def small_cfg(**kw):
     base = dict(ipc=3, iters=40, lr=0.1, seed=0, real_cap=None)
     base.update(kw)
     return RunConfig(**base)
+
+
+def col(rows, name):
+    """The TRACE_COLUMNS column `name` of one trace row or of a whole trace."""
+    return rows[..., TRACE_COLUMNS.index(name)]
 
 
 class TestRunConfig:
@@ -52,14 +57,17 @@ class TestRunConfig:
 
 
 class TestTotalLossAndGrad:
+    """`Objective`: one trace row of L_total's terms and its gradient."""
+
     def test_all_masked_off_is_ce_only(self, small_world):
         train, _, teacher, e_real = small_world
         labels = class_blocked_labels(3, 3)
         pts = rng_normal(Rng(5), 9, 6)
         cfg_off = small_cfg(r_c=0.0, r_e=0.0, components=(), lambda_bn=0.0)
-        loss, grad = total_loss_and_grad(teacher, pts, labels, e_real, cfg_off)
-        assert loss.l_bn == 0.0 and loss.l_syn == 0.0
-        assert loss.total == pytest.approx(loss.l_ce)
+        row, grad = Objective(teacher, labels, e_real, cfg_off)(pts)
+        assert row.dtype == np.float64 and row.shape == (len(TRACE_COLUMNS),)
+        assert all(col(row, name) == 0.0 for name in ("l_bn", "cd", "cdm", "edm"))
+        assert col(row, "total") == pytest.approx(col(row, "l_ce"))
 
         # gradient must equal the pure cross-entropy input gradient
         from dire.teacher import (_cross_entropy_and_dlogits,
@@ -76,9 +84,10 @@ class TestTotalLossAndGrad:
         means = np.vstack([np.tile(train.points[train.labels == c].mean(axis=0), (3, 1))
                            for c in range(3)])
         noise = rng_normal(Rng(1), 9, 6)
-        loss_means, _ = total_loss_and_grad(teacher, means, labels, e_real, cfg)
-        loss_noise, _ = total_loss_and_grad(teacher, noise, labels, e_real, cfg)
-        assert loss_means.l_ce < loss_noise.l_ce
+        objective = Objective(teacher, labels, e_real, cfg)
+        row_means, _ = objective(means)
+        row_noise, _ = objective(noise)
+        assert col(row_means, "l_ce") < col(row_noise, "l_ce")
 
     def test_full_gradient_finite_differences(self, small_world):
         train, _, teacher, e_real = small_world
@@ -90,8 +99,8 @@ class TestTotalLossAndGrad:
         pts = rng_normal(Rng(7), 4, 4)
 
         def loss_fn(m):
-            loss, grad = total_loss_and_grad(tch2, m, labels, er2, cfg)
-            return loss.total, grad
+            row, grad = Objective(tch2, labels, er2, cfg)(m)
+            return col(row, "total"), grad
 
         assert finite_diff_check(loss_fn, pts, h=1e-5) < 1e-4
 
@@ -100,25 +109,26 @@ class TestTotalLossAndGrad:
         labels = class_blocked_labels(3, 3)
         pts = rng_normal(Rng(3), 9, 6)
         cfg = small_cfg(r_c=2.0, r_e=0.5)
-        loss, _ = total_loss_and_grad(teacher, pts, labels, e_real, cfg)
-        assert loss.l_syn == pytest.approx(
-            cfg.r_c * (loss.cd + loss.cdm) + cfg.r_e * loss.edm, rel=1e-12)
-        assert loss.total == pytest.approx(loss.l_ce + loss.l_bn + loss.l_syn)
+        row, _ = Objective(teacher, labels, e_real, cfg)(pts)
+        l_ce, l_bn, cd, cdm, edm, total = (col(row, name) for name in TRACE_COLUMNS)
+        assert total == l_ce + l_bn + (cfg.r_c * (cd + cdm) + cfg.r_e * edm)
 
     def test_regularizer_matches_per_class_oracle(self, small_world):
         train, _, teacher, e_real = small_world
         labels = class_blocked_labels(3, 3)
         pts = rng_normal(Rng(4), 9, 6)
         cfg = small_cfg(r_c=1.5, r_e=0.3, lambda_bn=0.0)
-        loss, grad = total_loss_and_grad(teacher, pts, labels, e_real, cfg)
-        ce_only, ce_grad = total_loss_and_grad(
-            teacher, pts, labels, e_real, small_cfg(r_c=0.0, r_e=0.0, lambda_bn=0.0))
+        row, grad = Objective(teacher, labels, e_real, cfg)(pts)
+        ce_only, ce_grad = Objective(
+            teacher, labels, e_real, small_cfg(r_c=0.0, r_e=0.0, lambda_bn=0.0))(pts)
         feats = extract_features(teacher, pts)
         _, want = dire_loss(EmbeddingSet.from_labeled(feats, labels), e_real,
                             cfg.dire_weights())
-        for key in ("cd", "cdm", "edm", "l_syn"):
-            assert getattr(loss, key) == pytest.approx(getattr(want, key), rel=1e-12)
-        assert loss.l_ce == ce_only.l_ce
+        for key in ("cd", "cdm", "edm"):
+            assert col(row, key) == pytest.approx(getattr(want, key), rel=1e-12)
+        l_syn = cfg.r_c * (col(row, "cd") + col(row, "cdm")) + cfg.r_e * col(row, "edm")
+        assert l_syn == pytest.approx(want.l_syn, rel=1e-12)
+        assert col(row, "l_ce") == col(ce_only, "l_ce")
         vjp = input_gradient(teacher, forward_activations(teacher, pts), dfeatures=want.grad)
         np.testing.assert_allclose(grad - ce_grad, vjp, rtol=1e-9, atol=1e-14)
 
@@ -129,23 +139,21 @@ class TestTotalLossAndGrad:
     def test_labels_must_be_class_blocked(self, small_world, labels):
         train, _, teacher, e_real = small_world
         with pytest.raises(ParameterError, match="class-blocked"):
-            total_loss_and_grad(teacher, rng_normal(Rng(0), 9, 6), labels, e_real,
-                                small_cfg())
+            Objective(teacher, labels, e_real, small_cfg())
 
     def test_labels_outside_the_teacher_or_the_points_rejected(self, small_world):
         train, _, teacher, e_real = small_world
         pts = rng_normal(Rng(0), 9, 6)
         with pytest.raises(ParameterError, match="labels"):
-            total_loss_and_grad(teacher, pts, np.repeat([1, 2, 3], 3), e_real, small_cfg())
+            Objective(teacher, np.repeat([1, 2, 3], 3), e_real, small_cfg())
         with pytest.raises(DimensionError, match="9 points vs 6 labels"):
-            total_loss_and_grad(teacher, pts, class_blocked_labels(3, 2), e_real, small_cfg())
+            Objective(teacher, class_blocked_labels(3, 2), e_real, small_cfg())(pts)
 
     def test_missing_feature_stats_rejected(self, small_world):
         train, _, teacher, e_real = small_world
         bare = dataclasses.replace(teacher, feature_mean=None)
-        with pytest.raises(Exception):
-            total_loss_and_grad(bare, rng_normal(Rng(0), 9, 6),
-                                class_blocked_labels(3, 3), e_real, small_cfg())
+        with pytest.raises(ParameterError, match="feature stats"):
+            Objective(bare, class_blocked_labels(3, 3), e_real, small_cfg())
 
 
 class TestRecover:
@@ -163,7 +171,7 @@ class TestRecover:
         a = recover(teacher, train, cfg)
         b = recover(teacher, train, cfg)
         assert np.array_equal(a.points, b.points)
-        assert a.final_loss.total == b.final_loss.total
+        assert np.array_equal(a.trace, b.trace)
 
     def test_labels_fixed_and_blocked(self, small_world):
         train, _, teacher, _ = small_world
@@ -181,8 +189,7 @@ class TestRecover:
     def test_loss_decreases(self, small_world):
         train, _, teacher, _ = small_world
         syn = recover(teacher, train, small_cfg(iters=150))
-        first = syn.trace[0].total
-        last = syn.trace[-1].total
+        first, last = col(syn.trace[[0, -1]], "total")
         assert last < first
 
     def test_non_finite_loss_reports_iteration(self, small_world):
@@ -229,6 +236,31 @@ class TestRecover:
         lines = trace_to_csv(syn.trace).strip().splitlines()
         assert lines[0] == "iter,l_ce,l_bn,cd,cdm,edm,total"
         assert len(lines) == 4
+
+    def test_trace_csv_bytes(self):
+        trace = np.array([[2.0, -0.5, 1e-300, 0.123456789012, -1234.5678912345, 1.23456789e11],
+                          [0.0, -3.0, 7.0, 1e-300, -2.5e-7, 100.0]])
+        assert trace_to_csv(trace) == (
+            "iter,l_ce,l_bn,cd,cdm,edm,total\n"
+            "1,2,-0.5,1e-300,0.123456789,-1234.56789,1.23456789e+11\n"
+            "2,0,-3,7,1e-300,-2.5e-07,100\n")
+
+    def test_recover_is_objective_steps(self, small_world):
+        train, _, teacher, _ = small_world
+        cfg = small_cfg(iters=3, real_cap=8)
+        syn = recover(teacher, train, cfg)
+        labels = class_blocked_labels(3, cfg.ipc)
+        points = rng_normal(Rng(cfg.seed).split(7001), 9, 6, 0.0, cfg.init_std)
+        e_real = EmbeddingSet.from_labeled(
+            extract_features(teacher, train.points), train.labels).subsample(
+                cfg.real_cap, Rng(cfg.seed))
+        objective = Objective(teacher, labels, e_real, cfg)
+        assert syn.trace.shape == (3, len(TRACE_COLUMNS))
+        for t in range(3):
+            row, grad = objective(points)
+            assert np.array_equal(syn.trace[t], row)
+            points = points - cfg.lr * grad
+        assert np.array_equal(syn.points, points)
 
 
 class TestAblate:
@@ -287,6 +319,19 @@ class TestAblate:
                         student_hidden=(8,), student_epochs=2)
         assert len(report.rows) == 7
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("option", [dict(student_lr=-5.0), dict(student_epochs=-1)],
+                             ids=["lr-neg", "epochs-neg"])
+    def test_student_options_checked_before_any_recover(self, small_world, monkeypatch,
+                                                         option):
+        import dire.pipeline
+
+        def no_recover(*args, **kwargs):
+            raise AssertionError("recover ran before the student options were checked")
+        monkeypatch.setattr(dire.pipeline, "recover", no_recover)
+        train, test, teacher, _ = small_world
+        with pytest.raises(ParameterError, match="^training: "):
+            ablate(teacher, train, test, small_cfg(), **option)
 
     def test_empty_masks_rejected(self, small_world):
         train, test, teacher, _ = small_world
