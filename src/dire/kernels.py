@@ -26,9 +26,12 @@ only a per-row result, so their memory is O(ROW_BLOCK * N), never N x N.
 They select on the squared-distance block and clamp and root only the
 selected values; clamping and the root are non-decreasing, so the values
 equal a selection over the rooted block bit for bit. The k-NN selection
-partitions only a candidate set: the k column tiles of KNN_TILE = 128
-entries whose minima are smallest, plus the ragged last columns, which hold
-every row's k smallest entries.
+partitions only a candidate set: of the w = N // KNN_GROUP interleaved
+column groups (group t holds columns t, t + w, ..., t + 15w), the k whose
+minima are smallest, plus the fewer than KNN_GROUP last columns; they hold
+every row's k smallest entries. Interleaving makes each group minimum one
+elementwise `fmin` over 16 contiguous runs of w entries, and the candidates
+number 16k plus the tail.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ COSINE_EPS = 1e-12
 # BLAS may round the last (columns mod 8) entries of a GEMM differently for
 # other row-block heights, so every blocked kernel shares this one height
 ROW_BLOCK = 128
-KNN_TILE = 128
+KNN_GROUP = 16
 
 
 def worker_count() -> int:
@@ -121,21 +124,23 @@ def _kth_smallest_rows(d, k):
     """k-th smallest entry of each row of d, equal to
     `np.partition(d, k - 1, axis=1)[:, k - 1]`; d may be overwritten.
 
-    The k smallest entries of a row lie in the k column tiles of KNN_TILE
-    entries with the smallest minima (plus a ragged tail), because every
-    other tile's minimum is at least the k-th of those k minima, each of
-    which is an entry. So only that candidate set is partitioned. `fmin`
-    skips NaN as `partition` does, which puts NaN last."""
+    With w = n // KNN_GROUP, group t holds columns t, t + w, ...,
+    t + (KNN_GROUP - 1) w; the last n % KNN_GROUP columns form a tail. The k
+    smallest entries of a row lie in the k groups with the smallest minima
+    plus the tail, because every other group's minimum is at least the k-th
+    of those k minima, each of which is an entry. So only that candidate set
+    is partitioned. `fmin` skips NaN as `partition` does, which puts NaN
+    last. With w <= k the whole row is partitioned."""
     rows, n = d.shape
-    tiles = n // KNN_TILE
-    if tiles <= k:
+    w = n // KNN_GROUP
+    if w <= k:
         d.partition(k - 1, axis=1)
         return d[:, k - 1]
-    head = d[:, :tiles * KNN_TILE].reshape(rows, tiles, KNN_TILE)
-    mins = np.fmin.reduce(head, axis=2)
-    pick = np.argpartition(mins, k - 1, axis=1)[:, :k, None]
-    cand = np.concatenate((np.take_along_axis(head, pick, axis=1).reshape(rows, -1),
-                           d[:, tiles * KNN_TILE:]), axis=1)
+    body = d[:, :w * KNN_GROUP].reshape(rows, KNN_GROUP, w)
+    mins = np.fmin.reduce(body, axis=1)
+    pick = np.argpartition(mins, k - 1, axis=1)[:, :k]
+    groups = body.transpose(0, 2, 1)[np.arange(rows)[:, None], pick]
+    cand = np.concatenate((groups.reshape(rows, -1), d[:, w * KNN_GROUP:]), axis=1)
     cand.partition(k - 1, axis=1)
     return cand[:, k - 1]
 

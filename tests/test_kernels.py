@@ -16,7 +16,8 @@ from dire import (DimensionError, DireWeights, NumericalError, ParameterError,
                   knn_distances, nearest_distances, pairwise_cosine_matrix,
                   pairwise_cosine_matrix_naive, pairwise_euclidean_matrix,
                   pairwise_euclidean_matrix_naive, rng_normal)
-from dire.kernels import KNN_TILE, ROW_BLOCK, _right_cols, _sq_dist_rows
+from dire.kernels import (KNN_GROUP, ROW_BLOCK, _kth_smallest_rows, _right_cols,
+                          _sq_dist_rows)
 
 
 # Pure-Python triple-loop oracles, independent of any numpy vectorization.
@@ -188,11 +189,15 @@ def _duplicated_rows():
     return x[np.random.default_rng(70).permutation(len(x))]
 
 
-def _neighbours_in_one_tile():
-    """Spread rows, and five near-copies of row 0 inside the second tile."""
+def _group_columns(n, t, count):
+    """The first `count` columns of interleaved column group t at width n."""
+    return t + (n // KNN_GROUP) * np.arange(count)
+
+
+def _neighbours_in_one_group():
+    """Spread rows, and five near-copies of row 0 in one column group."""
     x = 10.0 * rng_normal(Rng(71), 1000, 6)
-    lo = KNN_TILE + 3
-    x[lo:lo + 5] = x[0] + 1e-3 * rng_normal(Rng(72), 5, 6)
+    x[_group_columns(1000, 3, 5)] = x[0] + 1e-3 * rng_normal(Rng(72), 5, 6)
     return x
 
 
@@ -205,14 +210,16 @@ def _overflowing():
 
 
 def _nan_beside_the_nearest():
-    """Rows 0 and 130-139 form a tight cluster near |x| = 8e153, and row 140
-    lies along it at 1e155: the cluster's squared distances to row 140 are
-    NaN, in the tile that holds all of the cluster's nearest neighbours."""
+    """Row 0 and the first ten rows of column group 2 form a tight cluster
+    near |x| = 8e153, and the group's eleventh row lies along it at 1e155:
+    the cluster's squared distances to that row are NaN, in the group that
+    holds all of the cluster's nearest neighbours."""
     x = rng_normal(Rng(83), 1000, 4)
     u = np.array([0.5, 0.5, 0.5, 0.5])
-    cluster = [0, *range(KNN_TILE + 2, KNN_TILE + 12)]
+    *members, far = _group_columns(1000, 2, 11)
+    cluster = [0, *members]
     x[cluster] = 8e153 * (u + 1e-3 * rng_normal(Rng(84), len(cluster), 4))
-    x[KNN_TILE + 12] = 1e155 * u
+    x[far] = 1e155 * u
     return x
 
 
@@ -221,22 +228,23 @@ def _all_overflowing():
     return 1e200 * rng_normal(Rng(82), 700, 4)
 
 
-# (builder, k): the k tiles-or-fewer fallback, the tile path on either side
-# of it, ragged last tiles over several row blocks, ties and NaN
+# (builder, k): the k-groups-or-fewer fallback, the group path on either
+# side of it, ragged tails over several row blocks, ties and NaN. The ids
+# say "tile" for a column group so that they stay comparable across changes.
 SELECTION_CASES = {
     "n=k+1,k=1": (lambda: rng_normal(Rng(74), 2, 8), 1),
     "n=k+1,k=5": (lambda: rng_normal(Rng(75), 6, 8), 5),
-    "n=tile*(k+1)-1": (lambda: rng_normal(Rng(76), KNN_TILE * 6 - 1, 8), 5),
-    "n=tile*(k+1)": (lambda: rng_normal(Rng(77), KNN_TILE * 6, 8), 5),
-    "n=tile*(k+1)+1": (lambda: rng_normal(Rng(78), KNN_TILE * 6 + 1, 8), 5),
-    "n=tile*2+1,k=1": (lambda: rng_normal(Rng(79), KNN_TILE * 2 + 1, 8), 1),
+    "n=tile*(k+1)-1": (lambda: rng_normal(Rng(76), KNN_GROUP * 6 - 1, 8), 5),
+    "n=tile*(k+1)": (lambda: rng_normal(Rng(77), KNN_GROUP * 6, 8), 5),
+    "n=tile*(k+1)+1": (lambda: rng_normal(Rng(78), KNN_GROUP * 6 + 1, 8), 5),
+    "n=tile*2+1,k=1": (lambda: rng_normal(Rng(79), KNN_GROUP * 2 + 1, 8), 1),
     "row-blocks,ragged,k=1": (lambda: rng_normal(Rng(80), 8 * ROW_BLOCK + 45, 8), 1),
     "row-blocks,ragged,k=5": (lambda: rng_normal(Rng(81), 8 * ROW_BLOCK + 45, 8), 5),
     "duplicate-rows,k=1": (_duplicated_rows, 1),
     "duplicate-rows,k=5": (_duplicated_rows, 5),
     "identical-rows,k=1": (lambda: np.full((900, 5), 0.3), 1),
     "identical-rows,k=5": (lambda: np.full((900, 5), 0.3), 5),
-    "neighbours-in-one-tile": (_neighbours_in_one_tile, 5),
+    "neighbours-in-one-tile": (_neighbours_in_one_group, 5),
     "overflow,k=1": (_overflowing, 1),
     "overflow,k=5": (_overflowing, 5),
     "nan-beside-the-nearest": (_nan_beside_the_nearest, 5),
@@ -291,7 +299,7 @@ class TestStreamedKnn:
         assert np.array_equal(nearest_distances(x, y),
                               pairwise_euclidean_matrix(x, y).min(axis=1), equal_nan=True)
         if name == "neighbours-in-one-tile":
-            assert x.shape[0] // KNN_TILE > k and got[0] < 0.01
+            assert x.shape[0] // KNN_GROUP > k and got[0] < 0.01
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 1100), dim=st.integers(1, 12), k=st.integers(1, 12),
@@ -302,6 +310,25 @@ class TestStreamedKnn:
         if grid:  # a coarse grid: many exactly tied distances
             x = np.round(2.0 * x)
         assert np.array_equal(knn_distances(x, k), full_matrix_knn(x, k))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, ROW_BLOCK), n=st.integers(2, 3000),
+           seed=st.integers(0, 2**16), ties=st.booleans(), non_finite=st.booleans())
+    def test_kth_smallest_rows_equals_partition_property(self, data, rows, n, seed,
+                                                         ties, non_finite):
+        k = data.draw(st.one_of(st.integers(1, min(20, n - 1)), st.integers(1, n - 1)),
+                      label="k")
+        gen = np.random.default_rng(seed)
+        d = gen.normal(size=(rows, n))
+        if ties:
+            d = np.round(2.0 * d)
+        if non_finite:
+            u = gen.random((rows, n))
+            d[u < 0.05] = np.nan
+            d[(u >= 0.05) & (u < 0.08)] = np.inf
+            d[u > 0.98] = -np.inf
+        want = np.partition(d, k - 1, axis=1)[:, k - 1]
+        assert np.array_equal(_kth_smallest_rows(d, k), want, equal_nan=True)
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 600), dim=st.integers(4, 16), k=st.integers(1, 10),
