@@ -6,8 +6,16 @@ bench, and sweep. A stage that writes a file also writes
 {prefix}.{stage}.manifest.json with its argv, resolved config, wall time
 and FNV-1a digests of inputs and outputs, so reruns can be verified
 bit-for-bit (metrics takes its prefix from --csv, evaluate and bench from
---out). Exit codes: 0 success, 1 domain error (one-line diagnostic on
-stderr), 2 usage error.
+--out). The manifest's peak_rss_mb is the process's resident high-water
+mark when the stage ended: for a chain run in one process, the peak of
+every stage so far. Exit codes: 0 success, 1 domain error (one-line
+diagnostic on stderr), 2 usage error.
+
+gen-data, extract and relabel hold a bounded number of rows whatever N is:
+gen-data writes each class's rows to both splits' files as they are drawn,
+and extract and relabel pipe FORWARD_BLOCK-row blocks of the points file
+through the teacher into the output file. A stage that fails part way
+leaves no partial output and no manifest.
 """
 
 from __future__ import annotations
@@ -15,23 +23,27 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import resource
 import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .errors import DireError
-from .fileio import (ExperimentManifest, load_config, read_emb, read_labels,
-                     read_teacher, write_emb, write_labels, write_manifest,
-                     write_teacher)
+from .fileio import (ExperimentManifest, emb_reader, emb_writer, load_config,
+                     read_emb, read_labels, read_teacher, write_emb, write_labels,
+                     write_manifest, write_teacher)
 from .kernels import bench_kernels, bench_to_csv
 from .embeddings import EmbeddingSet
 from .metrics import metrics_report
 from .pipeline import ablate, weight_sweep
 from .synthesis import RunConfig, recover, trace_to_csv
-from .teacher import (LabeledDataset, SoftLabels, evaluate_student,
-                      extract_features, gen_mixture, relabel, squeeze_train)
+from .teacher import (FORWARD_BLOCK, LabeledDataset, SoftLabels, evaluate_student,
+                      extract_features, mixture_classes, mixture_split, relabel,
+                      squeeze_train)
 
 
 def _parse_ints(items, flag: str) -> tuple:
@@ -74,6 +86,13 @@ def _config_from_args(args) -> RunConfig:
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
+def _peak_rss_mb() -> float:
+    """High-water resident set of this process so far, in MiB (ru_maxrss is
+    KiB on Linux, bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
 @contextmanager
 def _stage(args, name: str, prefix, inputs, outputs, config=None):
     """Run a stage body and record it in {prefix}.{name}.manifest.json: argv,
@@ -91,20 +110,27 @@ def _stage(args, name: str, prefix, inputs, outputs, config=None):
     for path in outputs:
         manifest.record_output(path)
     manifest.wall_time_s = time.perf_counter() - t0
+    manifest.peak_rss_mb = _peak_rss_mb()
     write_manifest(f"{prefix}.{name}.manifest.json", manifest)
 
 
 def cmd_gen_data(args) -> int:
-    train, test = gen_mixture(args.classes, args.dim, args.per_class,
-                              args.spread, args.seed)
-    splits = {"train": train, "test": test}
-    outputs = [p for split in splits for p in _data_paths(args.out, split)]
-    with _stage(args, "gen-data", args.out, (), outputs):
-        for split, data in splits.items():
-            emb_path, lbl_path = _data_paths(args.out, split)
-            write_emb(emb_path, data.points)
-            write_labels(lbl_path, data.labels)
-    print(json.dumps({"train": len(train), "test": len(test),
+    """Each class's rows go to both splits' files as they are drawn."""
+    n_train, n_test = mixture_split(args.classes, args.dim, args.per_class, args.spread)
+    splits = [_data_paths(args.out, split) for split in ("train", "test")]
+    (train_emb, train_lbl), (test_emb, test_lbl) = splits
+    with _stage(args, "gen-data", args.out, (), [p for pair in splits for p in pair]):
+        with (emb_writer(train_emb, (args.classes * n_train, args.dim)) as write_train,
+              emb_writer(test_emb, (args.classes * n_test, args.dim)) as write_test):
+            for train_rows, test_rows in mixture_classes(args.classes, args.dim,
+                                                         args.per_class, args.spread,
+                                                         args.seed):
+                write_train(train_rows)
+                write_test(test_rows)
+        classes = np.arange(args.classes)
+        write_labels(train_lbl, np.repeat(classes, n_train))
+        write_labels(test_lbl, np.repeat(classes, n_test))
+    print(json.dumps({"train": args.classes * n_train, "test": args.classes * n_test,
                       "classes": args.classes, "dim": args.dim}))
     return 0
 
@@ -121,10 +147,22 @@ def cmd_squeeze(args) -> int:
     return 0
 
 
+def _map_blocks(points, out, cols: int, fn) -> None:
+    """Pipe the EMB1 file `points`, FORWARD_BLOCK rows at a time, through fn
+    into the EMB1 file `out` of `cols` columns. The teacher's forward runs
+    blocks of the same size, so each output row has the bits of one call on
+    the whole file."""
+    with (emb_reader(points, FORWARD_BLOCK) as ((rows, _), blocks),
+          emb_writer(out, (rows, cols)) as write):
+        for block in blocks:
+            write(fn(block))
+
+
 def cmd_extract(args) -> int:
     with _stage(args, "extract", args.out, [args.teacher, args.points], [args.out]):
         model = read_teacher(args.teacher)
-        write_emb(args.out, extract_features(model, read_emb(args.points)))
+        _map_blocks(args.points, args.out, model.feature_dim,
+                    lambda block: extract_features(model, block))
     return 0
 
 
@@ -150,7 +188,8 @@ def cmd_recover(args) -> int:
 def cmd_relabel(args) -> int:
     with _stage(args, "relabel", args.out, [args.teacher, args.points], [args.out]):
         model = read_teacher(args.teacher)
-        write_emb(args.out, relabel(model, read_emb(args.points), args.temperature).probs)
+        _map_blocks(args.points, args.out, model.n_classes,
+                    lambda block: relabel(model, block, args.temperature).probs)
     return 0
 
 

@@ -3,7 +3,14 @@
 Matrices travel as EMB1, a little-endian binary with a fixed header
 (magic "EMB1", u16 format version, u32 rows, u32 cols) followed by
 rows*cols float64 values in row-major order; round-trips are bit-exact and
-non-finite payloads are rejected at write and at read time. Teacher
+non-finite payloads are rejected at write and at read time. EMB1 files
+stream in row blocks: `emb_reader` checks the header against the file size
+on open, then each block's size and finiteness as it reads it, and
+`emb_writer` checks each block's width, the row total and finiteness and
+writes through `{path}.part`, renamed over the path only once every
+declared row is written, so a refused block, a wrong total or a failing
+producer leaves no partial file. `read_emb` and `write_emb` are their
+one-block cases. Teacher
 checkpoints use the DIRT container: layer dimensions and weights, the
 feature-layer index, and the stored feature statistics, none of which may
 be non-finite on read. Configs and manifests are JSON; labels are
@@ -32,13 +39,14 @@ import json
 import os
 import struct
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, FormatError, ParameterError
+from .errors import ConfigError, DimensionError, FormatError, ParameterError
 from .matrix import as_matrix
 from .synthesis import RunConfig
 from .teacher import TeacherModel
@@ -71,41 +79,104 @@ def _write_f64(fh, a) -> None:
         fh.write(memoryview(a).cast("B"))
 
 
-def write_emb(path, m) -> None:
-    m = as_matrix(m)
-    if not _all_finite(m):
-        raise ParameterError(f"write_emb: refusing to write non-finite values to {path}")
-    with open(path, "wb") as fh:
-        fh.write(EMB_HEADER.pack(EMB_MAGIC, EMB_VERSION, m.shape[0], m.shape[1]))
-        _write_f64(fh, m)
+def _emb_header(fh, path) -> tuple:
+    """(rows, cols) from an open EMB1 file's header, checked against the file
+    size before anything is allocated."""
+    size = os.fstat(fh.fileno()).st_size
+    if size < EMB_HEADER.size:
+        raise FormatError(f"{path}: truncated header, {size} < {EMB_HEADER.size} bytes")
+    magic, version, rows, cols = EMB_HEADER.unpack(fh.read(EMB_HEADER.size))
+    if magic != EMB_MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r} at byte offset 0")
+    if version != EMB_VERSION:
+        raise FormatError(f"{path}: unsupported version {version} at byte offset 4")
+    expected = EMB_HEADER.size + 8 * rows * cols
+    if size != expected:
+        raise FormatError(
+            f"{path}: payload truncated at byte offset {size} (expected {expected})")
+    return rows, cols
+
+
+def _emb_blocks(fh, path, rows: int, cols: int, block_rows):
+    """Fresh native float64 blocks of `block_rows` rows (all rows when None)
+    read from fh, each checked for finiteness as it arrives. A file without
+    rows gives one (0, cols) block."""
+    step = block_rows or max(rows, 1)
+    for lo in range(0, max(rows, 1), step):
+        out = np.empty((min(step, rows - lo), cols), dtype=np.float64)
+        got = fh.readinto(out.reshape(-1).view(np.uint8))
+        if got != out.nbytes:  # the file shrank after the header check
+            raise FormatError(f"{path}: payload truncated at byte offset "
+                              f"{EMB_HEADER.size + 8 * lo * cols + got} "
+                              f"(expected {EMB_HEADER.size + 8 * rows * cols})")
+        if sys.byteorder == "big":
+            out.byteswap(inplace=True)
+        if not _all_finite(out):
+            raise FormatError(f"{path}: non-finite value in payload")
+        yield out
+
+
+@contextmanager
+def emb_reader(path, block_rows: int | None = None):
+    """Open an EMB1 file as ((rows, cols), blocks): the header is checked on
+    entry, and `blocks` then reads the payload in row blocks of `block_rows`
+    (one block of every row when None), so a caller that consumes block by
+    block holds one block of the file at a time."""
+    with open(path, "rb") as fh:
+        rows, cols = _emb_header(fh, path)
+        yield (rows, cols), _emb_blocks(fh, path, rows, cols, block_rows)
 
 
 def read_emb(path) -> np.ndarray:
-    """The matrix in an EMB1 file, read into one fresh array. The header is
-    checked against the file size before anything is allocated."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size < EMB_HEADER.size:
-            raise FormatError(f"{path}: truncated header, {size} < {EMB_HEADER.size} bytes")
-        magic, version, rows, cols = EMB_HEADER.unpack(fh.read(EMB_HEADER.size))
-        if magic != EMB_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r} at byte offset 0")
-        if version != EMB_VERSION:
-            raise FormatError(f"{path}: unsupported version {version} at byte offset 4")
-        expected = EMB_HEADER.size + 8 * rows * cols
-        if size != expected:
-            raise FormatError(
-                f"{path}: payload truncated at byte offset {size} (expected {expected})")
-        out = np.empty((rows, cols), dtype=np.float64)
-        got = fh.readinto(out.reshape(-1).view(np.uint8))
-    if got != out.nbytes:  # the file shrank after fstat
-        raise FormatError(f"{path}: payload truncated at byte offset "
-                          f"{EMB_HEADER.size + got} (expected {expected})")
-    if sys.byteorder == "big":
-        out.byteswap(inplace=True)
-    if not _all_finite(out):
-        raise FormatError(f"{path}: non-finite value in payload")
+    """The matrix in an EMB1 file, read into one fresh array: the reader's
+    one-block case."""
+    with emb_reader(path) as (_, blocks):
+        (out,) = blocks
     return out
+
+
+@contextmanager
+def emb_writer(path, shape):
+    """Write an EMB1 file of `shape` = (rows, cols) from row blocks: the
+    context yields `write(block)`, which checks each block's width, the
+    running row count and finiteness before writing it. The rows go to
+    `{path}.part`, renamed over `path` only once the context ends with
+    exactly `rows` rows written; on any error the part file is removed and
+    `path` is left as it was."""
+    rows, cols = shape
+    part = Path(f"{path}.part")
+    written = 0
+
+    def write(block) -> None:
+        nonlocal written
+        block = as_matrix(block)
+        if block.shape[1] != cols:
+            raise DimensionError(f"write_emb: block of {block.shape[1]} columns for "
+                                 f"{path}, which has {cols}")
+        if written + block.shape[0] > rows:
+            raise DimensionError(f"write_emb: more than the {rows} rows of {path}")
+        if not _all_finite(block):
+            raise ParameterError(f"write_emb: refusing to write non-finite values to {path}")
+        _write_f64(fh, block)
+        written += block.shape[0]
+
+    try:
+        with open(part, "wb") as fh:
+            fh.write(EMB_HEADER.pack(EMB_MAGIC, EMB_VERSION, rows, cols))
+            yield write
+            if written != rows:
+                raise DimensionError(f"write_emb: {written} of the {rows} rows of {path}")
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
+def write_emb(path, m) -> None:
+    """Write the matrix m as an EMB1 file: the writer's one-block case."""
+    m = as_matrix(m)
+    with emb_writer(path, m.shape) as write:
+        write(m)
 
 
 def write_labels(path, labels) -> None:
@@ -311,6 +382,7 @@ class ExperimentManifest:
     inputs: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
+    peak_rss_mb: float = 0.0
 
     def record_input(self, path):
         self.inputs[str(path)] = digest_file(path)

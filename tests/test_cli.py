@@ -1,13 +1,16 @@
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dire import (Rng, read_emb, read_labels, rng_normal, write_emb,
+from dire import (Rng, TeacherModel, extract_features, gen_mixture, read_emb,
+                  read_labels, read_teacher, relabel, rng_normal, write_emb,
                   write_labels, write_teacher)
 from dire.cli import main
 from dire.fileio import EMB_HEADER, digest_file, read_manifest
+from dire.teacher import FORWARD_BLOCK, init_mlp
 
 
 def run_cli(capsys, *argv):
@@ -409,8 +412,8 @@ STAGE_MANIFESTS = {
                "--out", "{t}/b"], "{t}/b.bench.manifest.json", [],
               ["{t}/b.bench.csv", "{t}/b.bench.json"]),
 }
-MANIFEST_FIELDS = {"argv", "config", "inputs", "outputs", "subcommand", "tool_version",
-                   "wall_time_s"}
+MANIFEST_FIELDS = {"argv", "config", "inputs", "outputs", "peak_rss_mb", "subcommand",
+                   "tool_version", "wall_time_s"}
 
 
 def _fill(templates, world, tmp):
@@ -434,6 +437,7 @@ class TestStageManifests:
             for file, digest in manifest[kind].items():
                 assert digest == digest_file(file)
         assert manifest["wall_time_s"] > 0
+        assert manifest["peak_rss_mb"] > 0
 
     @pytest.mark.parametrize("stage", ["evaluate-soft", "metrics", "bench"])
     def test_no_output_prefix_writes_no_manifest(self, capsys, stage_world, tmp_path,
@@ -445,3 +449,84 @@ class TestStageManifests:
         capsys.readouterr()
         assert sorted(stage_world.glob("*.manifest.json")) == before
         assert list(tmp_path.iterdir()) == []
+
+
+def _teacher(path, weights, biases):
+    """Write a DIRT file of the given layers, feature layer 1, with zero
+    means and unit variances as its stored statistics."""
+    hidden = weights[0].shape[1]
+    write_teacher(path, TeacherModel(weights, biases, 1, np.zeros(hidden), np.ones(hidden)))
+
+
+# a few 1 MiB forward blocks (4096 rows x 32 hidden x 8 bytes), one class of
+# gen-data draws (1.2 MiB at 10 000 per class) and the digest's scratch
+STAGE_PEAK_BOUND = 6 << 20
+
+
+class TestStreamedStages:
+    def test_gen_data_files_hold_gen_mixture(self, capsys, tmp_path):
+        prefix = str(tmp_path / "g")
+        assert main(["gen-data", "--classes", "4", "--dim", "5", "--per-class", "13",
+                     "--spread", "0.2", "--seed", "3", "--out", prefix]) == 0
+        assert json.loads(capsys.readouterr().out) == {"train": 40, "test": 12,
+                                                       "classes": 4, "dim": 5}
+        for split, data in zip(("train", "test"), gen_mixture(4, 5, 13, 0.2, seed=3)):
+            assert np.array_equal(read_emb(f"{prefix}.{split}.emb"), data.points)
+            assert np.array_equal(read_labels(f"{prefix}.{split}.labels.csv"), data.labels)
+
+    def test_stages_hold_a_few_blocks_of_10_to_20_mib_files(self, capsys, tmp_path):
+        ckpt, big = tmp_path / "t.ckpt", tmp_path / "big"
+        _teacher(ckpt, *init_mlp(16, (32,), 10, seed=0))
+        train, feat, soft = (tmp_path / name for name in ("big.train.emb", "f.emb", "s.emb"))
+        stages = [
+            (["gen-data", "--per-class", "10000", "--seed", "1", "--out", str(big)], [train]),
+            (["extract", "--teacher", str(ckpt), "--points", str(train), "--out", str(feat)],
+             [train, feat]),
+            (["relabel", "--teacher", str(ckpt), "--points", str(train), "--out", str(soft)],
+             [train, soft]),
+        ]
+        for argv, files in stages:
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert 10**7 <= max(f.stat().st_size for f in files) <= 20 << 20
+            assert peak <= STAGE_PEAK_BOUND, (argv[0], peak)
+        capsys.readouterr()
+        model, points = read_teacher(ckpt), read_emb(train)
+        assert read_emb(feat).tobytes() == extract_features(model, points).tobytes()
+        assert read_emb(soft).tobytes() == relabel(model, points).probs.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("stage, fault", [
+        ("extract", "cut"), ("relabel", "cut"), ("extract", "nan"), ("relabel", "nan"),
+        ("relabel", "overflow")])
+    def test_failure_after_the_first_block_leaves_no_output(self, capsys, tmp_path,
+                                                           stage, fault):
+        n, bad = 2 * FORWARD_BLOCK + 5, FORWARD_BLOCK + 3
+        points = np.zeros((n, 16))
+        if fault == "overflow":
+            # logit 0 is 1e308 (1 + tanh(x_0)): finite while x_0 = 0, inf at row `bad`
+            first = np.zeros((16, 1))
+            first[0] = 1.0
+            _teacher(tmp_path / "t.ckpt", [first, np.array([[1e308, 0.0]])],
+                     [np.zeros(1), np.array([1e308, 0.0])])
+            points[bad, 0] = 10.0
+        else:
+            _teacher(tmp_path / "t.ckpt", *init_mlp(16, (8,), 3, seed=1))
+            points[bad, 1] = np.nan
+        path = tmp_path / "p.emb"
+        path.write_bytes(EMB_HEADER.pack(b"EMB1", 1, n, 16) + points.astype("<f8").tobytes())
+        if fault == "cut":
+            path.write_bytes(path.read_bytes()[:EMB_HEADER.size + 8 * 16 * FORWARD_BLOCK])
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run_cli(capsys, stage, "--teacher", str(tmp_path / "t.ckpt"),
+                                 "--points", str(path), "--out", str(tmp_path / "out.emb"))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("dire: error:")
+        assert {"cut": "payload truncated", "nan": f"{path}: non-finite",
+                "overflow": "non-finite probability"}[fault] in err
+        assert sorted(tmp_path.iterdir()) == before

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dire import (ConfigError, DireError, FormatError, ParameterError, Rng,
+from dire import (ConfigError, DimensionError, DireError, FormatError, ParameterError, Rng,
                   RunConfig, digest_file, dump_config, extract_features, fnv1a64,
                   gen_mixture, load_config, read_emb, read_labels,
                   read_teacher, rng_normal, squeeze_train, write_emb,
                   write_labels, write_teacher)
 from dire.fileio import (_GEMM_BYTES, _INV_POWER_LIMBS, _LABEL_BLOCK, _LIMB_SHIFTS,
-                         DIGEST_CHUNK, EMB_HEADER, ExperimentManifest, _fnv1a64_update)
+                         DIGEST_CHUNK, EMB_HEADER, ExperimentManifest, _fnv1a64_update,
+                         emb_reader, emb_writer)
 
 
 class TestEmbFormat:
@@ -121,6 +122,136 @@ class TestEmbFormat:
             tracemalloc.stop()
         assert np.array_equal(out, m)
         assert peak <= 1.1 * m.nbytes
+
+
+BLOCK = 4  # rows per block in the block I/O tests
+# (rows, cols): no rows, no columns, and k blocks, k blocks - 1 and k blocks + 1
+BLOCK_SHAPES = [(0, 0), (0, 3), (5, 0), (1, 3), *((k * BLOCK + d, 3) for k in (1, 2, 3)
+                                                  for d in (-1, 0, 1))]
+
+
+def _blocks(path, block_rows=BLOCK):
+    with emb_reader(path, block_rows) as (shape, blocks):
+        return shape, list(blocks)
+
+
+def _emb_file(path, m):
+    """An EMB1 file holding m, by hand, so m may hold non-finite values."""
+    path.write_bytes(EMB_HEADER.pack(b"EMB1", 1, *m.shape) + m.astype("<f8").tobytes())
+
+
+class TestEmbBlocks:
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES, ids=str)
+    def test_blocks_concatenate_to_read_emb(self, tmp_path, shape):
+        path = tmp_path / "m.emb"
+        write_emb(path, Rng(shape[0]).generator.normal(size=shape))
+        got_shape, blocks = _blocks(path)
+        assert got_shape == shape
+        assert [b.shape[0] for b in blocks[:-1]] == [BLOCK] * (len(blocks) - 1)
+        assert 0 < len(blocks) == max(1, -(-shape[0] // BLOCK))
+        whole = np.concatenate(blocks)
+        assert whole.shape == shape and np.array_equal(whole, read_emb(path))
+
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES, ids=str)
+    def test_written_blocks_are_write_emb_bytes(self, tmp_path, shape):
+        m = Rng(shape[0] + 1).generator.normal(size=shape)
+        write_emb(tmp_path / "one.emb", m)
+        with emb_writer(tmp_path / "blocks.emb", shape) as write:
+            for lo in range(0, max(shape[0], 1), BLOCK):
+                write(m[lo:lo + BLOCK])
+        assert (tmp_path / "blocks.emb").read_bytes() == (tmp_path / "one.emb").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocks.emb", "one.emb"]
+
+    def test_file_cut_in_a_later_block_refused_on_open(self, tmp_path):
+        path = tmp_path / "cut.emb"
+        write_emb(path, rng_normal(Rng(4), 3 * BLOCK, 2))
+        path.write_bytes(path.read_bytes()[:EMB_HEADER.size + 8 * 2 * (BLOCK + 1)])
+        msg = "payload truncated at byte offset 94 \\(expected 206\\)"
+        with pytest.raises(FormatError, match=msg):
+            read_emb(path)
+        with pytest.raises(FormatError, match=msg):
+            _blocks(path)
+
+    def test_file_shrinking_while_read_reports_its_offset(self, tmp_path):
+        # 8 KiB rows, so the reader's buffer cannot hold the third block early
+        path = tmp_path / "shrink.emb"
+        write_emb(path, rng_normal(Rng(5), 3 * BLOCK, 1024))
+        with emb_reader(path, BLOCK) as (_, blocks):
+            next(blocks)
+            with open(path, "r+b") as fh:  # cut 3 values into the third block
+                fh.truncate(EMB_HEADER.size + 8 * 1024 * 2 * BLOCK + 24)
+            next(blocks)
+            with pytest.raises(FormatError,
+                               match=f"{path}: payload truncated at byte offset 65574 "
+                                     "\\(expected 98318\\)"):
+                next(blocks)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_a_later_block_names_file(self, tmp_path, bad):
+        m = rng_normal(Rng(6), 2 * BLOCK + 1, 2)
+        m[2 * BLOCK, 1] = bad
+        path = tmp_path / "bad.emb"
+        _emb_file(path, m)
+        with pytest.raises(FormatError, match="non-finite") as whole:
+            read_emb(path)
+        with emb_reader(path, BLOCK) as (_, blocks):
+            assert np.array_equal(next(blocks), m[:BLOCK])
+            assert np.array_equal(next(blocks), m[BLOCK:2 * BLOCK])
+            with pytest.raises(FormatError, match="non-finite") as blocked:
+                next(blocks)
+        assert str(blocked.value) == str(whole.value) == f"{path}: non-finite value in payload"
+
+    @pytest.mark.parametrize("header, match", [
+        (EMB_HEADER.pack(b"NOPE", 1, 2, 2), "magic"),
+        (EMB_HEADER.pack(b"EMB1", 99, 2, 2), "version"),
+        (b"EMB1", "truncated header"),
+    ], ids=["magic", "version", "short"])
+    def test_bad_header_refused_on_open(self, tmp_path, header, match):
+        path = tmp_path / "h.emb"
+        path.write_bytes(header + bytes(32 if len(header) > 4 else 0))
+        with pytest.raises(FormatError, match=match):
+            _blocks(path)
+
+    @pytest.mark.parametrize("blocks, error", [
+        ([np.ones((BLOCK, 3)), np.full((1, 3), np.nan)], ParameterError),
+        ([np.ones((BLOCK, 3)), np.ones((1, 2))], DimensionError),
+        ([np.ones((BLOCK, 3))], DimensionError),
+        ([np.ones((BLOCK, 3)), np.ones((2, 3))], DimensionError),
+    ], ids=["non-finite", "wrong-width", "too-few-rows", "too-many-rows"])
+    def test_refused_block_or_row_total_leaves_no_file(self, tmp_path, blocks, error):
+        with pytest.raises(error):
+            with emb_writer(tmp_path / "out.emb", (BLOCK + 1, 3)) as write:
+                for block in blocks:
+                    write(block)
+        assert issubclass(error, DireError)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failing_producer_leaves_an_earlier_file_as_it_was(self, tmp_path):
+        path = tmp_path / "out.emb"
+        write_emb(path, np.eye(2))
+        before = path.read_bytes()
+        with pytest.raises(FormatError):
+            with emb_writer(path, (2 * BLOCK, 2)) as write:
+                write(np.ones((BLOCK, 2)))
+                raise FormatError("the producer failed")
+        assert path.read_bytes() == before and list(tmp_path.iterdir()) == [path]
+
+    def test_write_emb_refuses_non_finite_before_touching_path(self, tmp_path):
+        path = tmp_path / "out.emb"
+        write_emb(path, np.eye(2))
+        before = path.read_bytes()
+        with pytest.raises(ParameterError, match="non-finite"):
+            write_emb(path, np.array([[1.0, np.inf]]))
+        assert path.read_bytes() == before and list(tmp_path.iterdir()) == [path]
+
+    def test_blocks_may_be_written_back_over_their_own_file(self, tmp_path):
+        m = rng_normal(Rng(7), 3 * BLOCK + 1, 1024)  # more than the reader's buffer
+        path = tmp_path / "m.emb"
+        write_emb(path, m)
+        with emb_reader(path, BLOCK) as (shape, blocks), emb_writer(path, shape) as write:
+            for block in blocks:
+                write(2.0 * block)
+        assert np.array_equal(read_emb(path), 2.0 * m)
 
 
 class TestLabelsCsv:

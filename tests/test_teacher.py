@@ -7,7 +7,7 @@ from dire import (DimensionError, ParameterError, Rng, SoftLabels,
                   TeacherModel, evaluate_student, extract_features,
                   finite_diff_grad, gen_mixture, model_accuracy, relabel,
                   rng_normal, softmax, squeeze_train, teacher_logits)
-from dire.teacher import (_sgd_train, forward_activations, init_mlp,
+from dire.teacher import (FORWARD_BLOCK, _sgd_train, forward_activations, init_mlp,
                           input_gradient)
 
 
@@ -341,6 +341,47 @@ class TestInPlaceForwardMatchesOracle:
         assert np.array_equal(x, before)
 
 
+B = FORWARD_BLOCK
+
+
+class TestBlockedForward:
+    """Inputs longer than FORWARD_BLOCK run as blocks of it from row 0, so a
+    caller that splits at multiples of it (like the CLI's streamed stages)
+    gets the same bits as one call."""
+
+    @pytest.fixture(scope="class", params=[((32,), 1), ((12, 8), 1)],
+                    ids=["one-hidden", "two-hidden-feature-1"])
+    def model(self, request):
+        hidden, feature_layer = request.param
+        weights, biases = init_mlp(16, hidden, 10, seed=6)
+        return TeacherModel(weights, biases, feature_layer)
+
+    CALLS = {"features": extract_features, "logits": teacher_logits,
+             "probs": lambda m, x: relabel(m, x, 0.7).probs}
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_equals_calls_on_block_slices(self, model, n, call):
+        fn = self.CALLS[call]
+        x = _read_only(rng_normal(Rng(n), n, 16))
+        got = fn(model, x)
+        want = np.concatenate([fn(model, x[lo:lo + B]) for lo in range(0, n, B)])
+        assert got.flags.c_contiguous and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, B - 1, B])
+    def test_one_block_is_the_plain_layer_chain(self, model, n):
+        x = rng_normal(Rng(n + 1), n, 16)
+        want = _oracle_forward(model, x)
+        assert np.array_equal(extract_features(model, x), want[model.feature_layer])
+        assert np.array_equal(teacher_logits(model, x), want[-1])
+        assert np.array_equal(relabel(model, x, 0.7).probs, _oracle_softmax(want[-1] / 0.7))
+
+    def test_no_rows(self, model):
+        x = np.zeros((0, 16))
+        assert extract_features(model, x).shape == (0, model.feature_dim)
+        assert relabel(model, x).probs.shape == (0, 10)
+
+
 def _traced_peak(fn, *args):
     """(result, peak bytes traced while fn ran)."""
     tracemalloc.start()
@@ -367,6 +408,10 @@ class TestForwardMemory:
     def test_relabel_holds_hidden_and_logits(self, case):
         _, peak = _traced_peak(relabel, *case)
         assert peak <= 1.1 * (self.N * self.H + self.N * self.C) * 8
+
+    def test_relabel_never_holds_n_by_hidden(self, case):
+        soft, peak = _traced_peak(relabel, *case)
+        assert peak <= soft.probs.nbytes + 2 * FORWARD_BLOCK * self.H * 8 < self.N * self.H * 8
 
 
 class TestEvaluateStudent:
