@@ -19,8 +19,7 @@ from .embeddings import EmbeddingSet
 from .metrics import (MetricsReport, coverage, intra_class_cosine,
                       metrics_report, vendi_score)
 from .losses import (ALL_COMPONENTS, DireWeights, LossBreakdown, cd_loss,
-                     cdm_loss, dire_loss, edm_loss, finite_diff_check,
-                     finite_diff_grad)
+                     cdm_loss, dire_loss, edm_loss, finite_diff_check)
 from .teacher import (LabeledDataset, SoftLabels, TeacherModel,
                       evaluate_student, extract_features, gen_mixture,
                       model_accuracy, relabel, softmax, squeeze_train,

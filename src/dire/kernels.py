@@ -5,7 +5,9 @@ benchmark baseline and as a cross-check; the fast variants compute the same
 values through blocked BLAS matmuls with precomputed norms. Every blocked
 kernel runs one loop over blocks of ROW_BLOCK = 128 rows on the caller's
 thread, so the caller's `np.errstate` applies to every block; a block against
-N = 8000 columns is 8 MiB.
+N = 8000 columns is 8 MiB. `pairwise_cosine_matrix` keeps its own
+spec, <a, b> / max(|a| |b|, COSINE_EPS); the unit-row rule of `matrix`
+serves the metrics and the regularizer, which form no pairwise matrix.
 
 Every Euclidean kernel forms its squared distances |a|^2 + |b|^2 - 2<a,b>
 as one GEMM of left rows [a, |a|^2, 1], built per row block, against right

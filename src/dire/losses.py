@@ -11,12 +11,12 @@ the weights transfer across synthetic-set sizes, sum preserves the raw
 double-sum form. The combined value per class is
 r_c * (CD + CDM) + r_e * EDM.
 
-The cosine terms need no pairwise matrix. With unit rows x_i/|x_i| (0 for
-rows whose norm is under 1e-12) summed to s = sum_i x_i/|x_i|, and t the
-same sum over Y, the double sums are sum_ij cos(x_i, x_j) = s.s and
-sum_ij cos(x_i, y_j) = s.t. Leaving out the diagonal subtracts one per
-nonzero row. EDM forms the K x R distance block once and takes its value
-and its gradient from it.
+The cosine terms need no pairwise matrix. With the unit rows x_i/|x_i| of
+`matrix.unit_rows` (0 for rows whose norm is under 1e-12) summed to
+s = sum_i x_i/|x_i|, and t the same sum over Y, the double sums are
+sum_ij cos(x_i, x_j) = s.s and sum_ij cos(x_i, y_j) = s.t. Leaving out the
+diagonal subtracts one per nonzero row. EDM forms the K x R distance block
+once and takes its value and its gradient from it.
 
 Gradients are with respect to X only; Y is constant. Differentiating s.t
 gives row i the gradient (t - (u_i.t) u_i) / |x_i| with u_i the unit row;
@@ -48,10 +48,9 @@ import numpy as np
 from .embeddings import EmbeddingSet
 from .errors import ParameterError
 from .kernels import _right_cols, _root, _sq_dist_rows
-from .matrix import as_matrix
+from .matrix import as_matrix, unit_rows
 
 EDM_DIST_FLOOR = 1e-12
-_NORM_FLOOR = 1e-12
 
 ALL_COMPONENTS = ("cd", "cdm", "edm")
 
@@ -84,14 +83,6 @@ class LossBreakdown:
     grad: np.ndarray
 
 
-def _unit_rows(x: np.ndarray):
-    """(rows scaled to unit length, inverse norms), both 0 on rows whose
-    norm is under the floor."""
-    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-    inv = np.where(norms >= _NORM_FLOOR, 1.0 / np.maximum(norms, _NORM_FLOOR), 0.0)
-    return x * inv[:, None], inv
-
-
 @dataclass
 class RealSide:
     """Real embeddings of C classes, prepared once for `batched_dire_loss`.
@@ -118,7 +109,7 @@ class RealSide:
         for i, b in enumerate(blocks):
             y[i, :b.shape[0]] = b
             mask[i, :b.shape[0]] = 1.0
-        unit = _unit_rows(y.reshape(-1, y.shape[2]))[0].reshape(y.shape)
+        unit = unit_rows(y.reshape(-1, y.shape[2]))[0].reshape(y.shape)
         return cls(y=y, right=_right_cols(y), mask=mask, t=unit.sum(axis=1))
 
 
@@ -140,7 +131,7 @@ def batched_dire_loss(x: np.ndarray, real: RealSide, w: DireWeights,
                 else np.ones(x.shape[0]))
     cd = cdm = edm = 0.0
     if "cd" in components or "cdm" in components:
-        unit, inv = _unit_rows(x.reshape(-1, x.shape[2]))
+        unit, inv = unit_rows(x.reshape(-1, x.shape[2]))
         unit, inv = unit.reshape(x.shape), inv.reshape(x.shape[:2])
         s = unit.sum(axis=1)
         direction = np.zeros_like(s)
@@ -249,29 +240,21 @@ def dire_loss(e_syn: EmbeddingSet, e_real: EmbeddingSet, w: DireWeights,
     return per_class, total
 
 
-def finite_diff_grad(value_fn, e, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a matrix."""
-    if h <= 0:
-        raise ParameterError(f"finite_diff_grad: h must be > 0, got {h}")
-    e = as_matrix(e, "E")
-    num = np.zeros_like(e)
-    for i in range(e.shape[0]):
-        for j in range(e.shape[1]):
-            bump = e.copy()
-            bump[i, j] += h
-            up = value_fn(bump)
-            bump[i, j] -= 2 * h
-            down = value_fn(bump)
-            num[i, j] = (up - down) / (2 * h)
-    return num
-
-
 def finite_diff_check(loss_fn, e, h: float = 1e-5) -> float:
     """Max relative disagreement between a loss's analytic gradient and
     central differences; `loss_fn` maps a matrix to (value, gradient).
     Denominator per coordinate is max(|analytic|, |numeric|, 1e-8)."""
+    if h <= 0:
+        raise ParameterError(f"finite_diff_check: h must be > 0, got {h}")
     e = as_matrix(e, "E")
     _, analytic = loss_fn(e)
-    numeric = finite_diff_grad(lambda m: loss_fn(m)[0], e, h)
+    numeric = np.zeros_like(e)
+    for i in range(e.shape[0]):
+        for j in range(e.shape[1]):
+            bump = e.copy()
+            bump[i, j] += h
+            up = loss_fn(bump)[0]
+            bump[i, j] -= 2 * h
+            numeric[i, j] = (up - loss_fn(bump)[0]) / (2 * h)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))

@@ -4,6 +4,9 @@ Matrices are plain 2-D C-contiguous float64 numpy arrays. Randomness goes
 through :class:`Rng`, a thin wrapper over the Philox counter-based bit
 generator: equal seeds give equal streams on every platform, and independent
 substreams can be split off deterministically for per-class or per-stage work.
+
+`unit_rows` owns the unit-row rule for the regularizer and the metrics:
+each row over its l2 norm, 0 for rows whose norm is under UNIT_ROW_FLOOR.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, ParameterError
+
+UNIT_ROW_FLOOR = 1e-12
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -54,11 +59,14 @@ def rng_normal(rng: Rng, rows: int, cols: int, mean: float = 0.0,
     return np.ascontiguousarray(out, dtype=np.float64)
 
 
-def row_l2_normalize(m, eps: float = 1e-12) -> np.ndarray:
-    """Divide each row by max(its l2 norm, eps). Near-zero rows pass through
-    scaled by 1/eps at most; exactly-zero rows stay zero."""
-    if eps <= 0:
-        raise ParameterError(f"row_l2_normalize: eps must be > 0, got {eps}")
-    m = as_matrix(m)
+def unit_rows(m: np.ndarray):
+    """(rows scaled to unit length, inverse norms), both 0 on rows whose
+    norm is under UNIT_ROW_FLOOR."""
     norms = np.sqrt(np.einsum("ij,ij->i", m, m))
-    return m / np.maximum(norms, eps)[:, None]
+    inv = np.where(norms >= UNIT_ROW_FLOOR, 1.0 / np.maximum(norms, UNIT_ROW_FLOOR), 0.0)
+    return m * inv[:, None], inv
+
+
+def row_l2_normalize(m) -> np.ndarray:
+    """The unit rows of `unit_rows`, for any 2-D input."""
+    return unit_rows(as_matrix(m))[0]

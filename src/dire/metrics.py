@@ -7,7 +7,10 @@ coverage never holds an N x N matrix. The Vendi score is the exponential of
 the Shannon entropy of the eigenvalues of the n-normalized cosine similarity
 matrix, an effective count of distinct samples in [1, n]. Intra-class
 cosine is the mean off-diagonal pairwise cosine within each class; lower
-means more diverse.
+means more diverse. It is the regularizer's mean CD value without the
+diagonal, by the same identity: for the unit rows u_i of `matrix.unit_rows`
+and s = sum_i u_i, sum_{i != j} cos = s.s - sum_i |u_i|^2, so no K x K
+matrix is formed: no metric holds more than one row block of pairs.
 
 Vendi runs LAPACK's `eigvalsh` on the min(n, D) side: the nonzero spectrum
 of U U^T / n equals that of U^T U / n for the unit rows U.
@@ -21,8 +24,8 @@ import numpy as np
 
 from .embeddings import EmbeddingSet
 from .errors import DimensionError, NumericalError, ParameterError
-from .kernels import knn_distances, nearest_distances, pairwise_cosine_matrix
-from .matrix import as_matrix, row_l2_normalize
+from .kernels import knn_distances, nearest_distances
+from .matrix import as_matrix, row_l2_normalize, unit_rows
 
 
 def coverage(real_emb, syn_emb, k: int = 5) -> float:
@@ -83,8 +86,9 @@ def intra_class_cosine(emb_set: EmbeddingSet):
         k = m.shape[0]
         if k < 2:
             raise ParameterError(f"intra_class_cosine: class {c} has {k} member(s), need >= 2")
-        cos = pairwise_cosine_matrix(m, m)
-        off_sum = float(cos.sum() - np.trace(cos))
+        unit = unit_rows(m)[0]
+        s = unit.sum(axis=0)
+        off_sum = float(s @ s - np.einsum("ij,ij->", unit, unit))
         per_class.append(off_sum / (k * k - k))
     per_class = np.array(per_class)
     return per_class, float(per_class.mean())

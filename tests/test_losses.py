@@ -3,8 +3,8 @@ import pytest
 
 from dire import (DireWeights, EmbeddingSet, ParameterError, Rng, cd_loss,
                   cdm_loss, dire_loss, edm_loss, finite_diff_check,
-                  finite_diff_grad, pairwise_cosine_matrix,
-                  pairwise_euclidean_matrix, rng_normal, row_l2_normalize)
+                  pairwise_cosine_matrix, pairwise_euclidean_matrix, rng_normal,
+                  row_l2_normalize)
 from dire.losses import ALL_COMPONENTS, RealSide, batched_dire_loss
 
 SUM = DireWeights(reduction="sum")
@@ -227,14 +227,9 @@ class TestFiniteDiffHarness:
         e = rng_normal(Rng(29), 3, 4)
         assert finite_diff_check(quad, e, h=1e-5) < 1e-8
 
-    def test_grad_only_helper(self):
-        e = rng_normal(Rng(31), 2, 3)
-        num = finite_diff_grad(lambda m: 0.5 * float(np.sum(m * m)), e, h=1e-6)
-        np.testing.assert_allclose(num, e, atol=1e-8)
-
     def test_h_must_be_positive(self):
         with pytest.raises(ParameterError):
-            finite_diff_grad(lambda m: 0.0, np.eye(2), h=0.0)
+            finite_diff_check(lambda m: (0.0, np.zeros_like(m)), np.eye(2), h=0.0)
 
 
 class TestOrthogonalityPressure:

@@ -52,14 +52,15 @@ class TestRowNormalize:
         np.testing.assert_allclose(out, [[0.6, 0.8]], atol=1e-15)
 
     def test_zero_row_preserved(self):
-        out = row_l2_normalize(np.array([[0.0, 0.0]]), eps=1e-12)
+        out = row_l2_normalize(np.array([[0.0, 0.0]]))
         assert np.array_equal(out, [[0.0, 0.0]])
+
+    def test_row_under_norm_floor_maps_to_zero(self):
+        out = row_l2_normalize(np.array([[6e-14, 8e-14], [3.0, 4.0]]))
+        assert np.array_equal(out[0], [0.0, 0.0])
+        np.testing.assert_allclose(out[1], [0.6, 0.8], atol=1e-15)
 
     def test_output_rows_unit_norm(self):
         m = rng_normal(Rng(5), 5, 3)
         norms = np.linalg.norm(row_l2_normalize(m), axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-
-    def test_eps_must_be_positive(self):
-        with pytest.raises(ParameterError):
-            row_l2_normalize(np.eye(2), eps=0.0)

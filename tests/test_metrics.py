@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dire import (DimensionError, EmbeddingSet, NumericalError, ParameterError,
-                  Rng, as_matrix, coverage, intra_class_cosine, metrics_report,
+from dire import (DimensionError, DireWeights, EmbeddingSet, NumericalError,
+                  ParameterError, Rng, as_matrix, cd_loss, coverage,
+                  intra_class_cosine, metrics_report,
                   pairwise_cosine_matrix, rng_normal, row_l2_normalize,
                   vendi_score)
 
@@ -304,6 +307,30 @@ class TestIntraClassCosine:
         es = EmbeddingSet({0: np.eye(3), 4: np.ones((1, 3))})
         with pytest.raises(ParameterError, match="class 4"):
             intra_class_cosine(es)
+
+    @pytest.mark.parametrize("x", [
+        rng_normal(Rng(57), 7, 5),
+        np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [-1.0, 0.5, 2.0]]),
+        np.tile([[0.3, -1.2, 2.5, 0.7]], (6, 1)),
+    ], ids=["random", "zero-rows", "identical-rows"])
+    def test_equals_mean_cd_without_diagonal(self, x):
+        # the metric and the regularizer's CD term are one quantity
+        cd = cd_loss(x, DireWeights(reduction="mean", include_diagonal_cd=False))[0]
+        per_class, _ = intra_class_cosine(EmbeddingSet({0: x}))
+        assert per_class[0] == pytest.approx(cd, rel=1e-14, abs=0.0)
+
+    def test_no_k_by_k_matrix(self):
+        # one class of 4500 x 32: a K x K float64 matrix alone is 154 MiB
+        x = np.tanh(rng_normal(Rng(59), 4500, 32))
+        es = EmbeddingSet({0: x})
+        for run in (lambda: intra_class_cosine(es), lambda: metrics_report(es, es)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20
 
 
 class TestMetricsReport:

@@ -5,7 +5,7 @@ import pytest
 
 from dire import (DimensionError, ParameterError, Rng, SoftLabels,
                   TeacherModel, evaluate_student, extract_features,
-                  finite_diff_grad, gen_mixture, model_accuracy, relabel,
+                  finite_diff_check, gen_mixture, model_accuracy, relabel,
                   rng_normal, softmax, squeeze_train, teacher_logits)
 from dire.teacher import (FORWARD_BLOCK, _sgd_train, forward_activations, init_mlp,
                           input_gradient)
@@ -210,15 +210,13 @@ class TestFeatureExtraction:
             model = self._model(seed=seed)
             x = rng_normal(Rng(100 + seed), 3, 5)
             upstream = rng_normal(Rng(200 + seed), 3, 10)
-            analytic = input_gradient(model, forward_activations(model, x),
-                                      dfeatures=upstream)
 
-            def val(m):
-                return float(np.sum(upstream * extract_features(model, m)))
+            def loss_fn(m):
+                value = float(np.sum(upstream * extract_features(model, m)))
+                return value, input_gradient(model, forward_activations(model, m),
+                                             dfeatures=upstream)
 
-            numeric = finite_diff_grad(val, x, h=1e-5)
-            denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-            assert np.max(np.abs(analytic - numeric) / denom) < 1e-5
+            assert finite_diff_check(loss_fn, x, h=1e-5) < 1e-5
 
     def test_dimension_checks(self):
         model = self._model()
