@@ -18,6 +18,7 @@ terms, as the `Objective` call returned them.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,10 @@ class RunConfig:
             raise ConfigError(f"init_std must be >= 0, got {self.init_std}")
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
+        for key in ("lr", "lambda_bn", "r_c", "r_e", "init_std", "temperature"):
+            value = getattr(self, key)
+            if not value < math.inf:  # also false for NaN; -inf failed above
+                raise ConfigError(f"{key} must be finite, got {value}")
 
     def dire_weights(self) -> DireWeights:
         return DireWeights(r_c=self.r_c, r_e=self.r_e, reduction=self.reduction,

@@ -9,8 +9,11 @@ temperature softmax over teacher logits; students are fresh MLPs trained on
 the synthetic set and scored on held-out real data.
 
 All forward/backward passes are explicit numpy so input gradients can be
-verified against finite differences. One layer loop (`_activations`) serves
-both `forward_activations` and every SGD step.
+verified against finite differences. There is one layer walk each way, and
+recover and SGD share both: `_activations` runs the layers up for
+`forward_activations` and every SGD step, `_backward` runs them down for
+`input_gradient` and every SGD step. `_forward` walks up once more, block
+by block, so that long inputs hold one block's hidden activations.
 
 `extract_features`, `teacher_logits` and `relabel` run FORWARD_BLOCK rows
 at a time and write each block's top layer straight into its output rows,
@@ -24,6 +27,7 @@ soft-label entries moved, by at most 2.8e-14 relative).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,6 +165,8 @@ def mixture_split(n_classes: int, dim: int, n_per_class: int, spread: float):
         raise ParameterError(f"gen_mixture: need n_per_class >= 10, got {n_per_class}")
     if spread < 0:
         raise ParameterError(f"gen_mixture: spread must be >= 0, got {spread}")
+    if not spread < math.inf:  # also false for NaN
+        raise ParameterError(f"gen_mixture: spread must be finite, got {spread}")
     n_train = int(n_per_class * 0.8)
     return n_train, n_per_class - n_train
 
@@ -278,6 +284,23 @@ def extract_features(model: TeacherModel, x) -> np.ndarray:
     return _forward(model, x, model.feature_layer)
 
 
+def _backward(model: TeacherModel, acts: list, g: np.ndarray, dfeatures=None):
+    """The backward layer walk, from the top layer down: yields (l, gradient
+    at layer l's output) for l = top, ..., 0, starting from `g` at the
+    logits. The gradient below layer l, (g @ W_l.T) * (1 - a_l^2), is formed
+    through W_l before layer l is yielded, so the caller may update layer l
+    in place. `dfeatures` joins at the feature layer's activation. `acts`
+    comes from forward_activations and is never written."""
+    for l in range(len(model.weights) - 1, 0, -1):
+        below = g @ model.weights[l].T
+        if l == model.feature_layer and dfeatures is not None:
+            below += dfeatures
+        below *= 1.0 - acts[l] ** 2
+        yield l, g
+        g = below
+    yield 0, g
+
+
 def input_gradient(model: TeacherModel, acts, dlogits=None, dfeatures=None):
     """Backpropagate upstream gradients to the input.
 
@@ -285,15 +308,11 @@ def input_gradient(model: TeacherModel, acts, dlogits=None, dfeatures=None):
     either may be None. `acts` comes from forward_activations on the same
     input.
     """
-    n_hidden = len(model.weights) - 1
-    g = dlogits @ model.weights[-1].T if dlogits is not None else None
-    for layer in range(n_hidden, 0, -1):
-        if layer == model.feature_layer and dfeatures is not None:
-            g = dfeatures if g is None else g + dfeatures
-        if g is None:
-            g = np.zeros_like(acts[layer])
-        g = (g * (1.0 - acts[layer] ** 2)) @ model.weights[layer - 1].T
-    return g if g is not None else np.zeros_like(acts[0])
+    if dlogits is None:
+        dlogits = np.zeros((acts[0].shape[0], model.n_classes))
+    for _, g in _backward(model, acts, dlogits, dfeatures):
+        pass  # the walk's last gradient is at layer 0's output
+    return g @ model.weights[0].T
 
 
 def _cross_entropy_and_dlogits(logits, targets, want_loss=True):
@@ -322,6 +341,8 @@ def check_sgd_options(epochs: int, lr: float, batch_size: int = 1) -> None:
         raise ParameterError(f"training: batch_size must be >= 1, got {batch_size}")
     if lr < 0:
         raise ParameterError(f"training: lr must be >= 0, got {lr}")
+    if not lr < math.inf:  # also false for NaN
+        raise ParameterError(f"training: lr must be finite, got {lr}")
 
 
 def _sgd_train(points, targets, hidden_sizes, n_classes, epochs, lr, seed,
@@ -329,9 +350,9 @@ def _sgd_train(points, targets, hidden_sizes, n_classes, epochs, lr, seed,
     """Minibatch SGD on mean softmax cross-entropy against hard labels or
     soft target rows, from the seeded init_mlp model; zero epochs return
     that model untouched. Each epoch gathers its shuffled rows and target
-    rows once. Each step runs forward_activations' layers, the CE gradient
-    and a backward pass in input_gradient's floating-point order with
-    in-place elementwise ops, and updates the model's arrays in place.
+    rows once. Each step runs forward_activations' layers and the CE
+    gradient, then walks input_gradient's `_backward` down, updating each
+    layer's arrays in place once the walk has propagated through them.
     Weights are checked for finiteness once per epoch."""
     check_sgd_options(epochs, lr, batch_size)
     weights, biases = init_mlp(points.shape[1], hidden_sizes, n_classes, seed)
@@ -347,15 +368,9 @@ def _sgd_train(points, targets, hidden_sizes, n_classes, epochs, lr, seed,
             acts = _activations(model, xs[lo:lo + batch_size])
             _, g = _cross_entropy_and_dlogits(acts[-1], ts[lo:lo + batch_size],
                                               want_loss=False)
-            for layer in range(len(weights) - 1, -1, -1):
+            for layer, g in _backward(model, acts, g):
                 dw = acts[layer].T @ g
                 db = g.sum(axis=0)
-                if layer > 0:  # propagate through pre-update weights
-                    slope = acts[layer]
-                    np.multiply(slope, slope, out=slope)
-                    np.subtract(1.0, slope, out=slope)
-                    g = g @ weights[layer].T
-                    g *= slope
                 dw *= lr
                 weights[layer] -= dw
                 db *= lr
@@ -394,6 +409,8 @@ def relabel(model: TeacherModel, synthetic, temperature: float = 1.0) -> SoftLab
     """Soft labels = softmax(teacher logits / temperature)."""
     if temperature <= 0:
         raise ParameterError(f"relabel: temperature must be > 0, got {temperature}")
+    if not temperature < math.inf:  # also false for NaN
+        raise ParameterError(f"relabel: temperature must be finite, got {temperature}")
     points = getattr(synthetic, "points", synthetic)
     logits = teacher_logits(model, points)
     logits /= temperature

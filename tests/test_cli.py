@@ -107,8 +107,21 @@ class TestUsageErrors:
         # fails: only a check made before it can name the student lr
         (("ablate", "--teacher", "{tmp}/dim4.ckpt", "--data", "{data}",
           "--student-lr", "-5", "--out", "{tmp}/a"), "lr must be >= 0"),
+        # NaN and inf pass every range check; unchecked, they fail later with
+        # a message that names a symptom, or not at all
+        (("recover", "--teacher", "{tmp}/t.ckpt", "--data", "{data}", "--iters", "2",
+          "--temperature", "nan", "--out", "{tmp}/r"), "temperature must be finite"),
+        (("recover", "--teacher", "{tmp}/t.ckpt", "--data", "{data}", "--iters", "2",
+          "--lr", "inf", "--out", "{tmp}/r"), "lr must be finite"),
+        (("squeeze", "--data", "{data}", "--lr", "nan", "--out", "{tmp}/t2.ckpt"),
+         "lr must be finite"),
+        (("gen-data", "--classes", "3", "--dim", "6", "--per-class", "10",
+          "--spread", "nan", "--out", "{tmp}/g"), "spread must be finite"),
+        (("relabel", "--teacher", "{tmp}/t.ckpt", "--points", "{tmp}/p.emb",
+          "--temperature", "nan", "--out", "{tmp}/s.emb"), "temperature must be finite"),
     ], ids=["batch-neg", "batch-zero", "label-neg", "label-big", "soft-width", "lr-neg",
-            "ablate-lr-neg"])
+            "ablate-lr-neg", "recover-temperature-nan", "recover-lr-inf", "squeeze-lr-nan",
+            "gen-data-spread-nan", "relabel-temperature-nan"])
     def test_bad_training_input_is_one_line_domain_error(self, capsys, tmp_path,
                                                          toy_data, argv, names):
         write_labels(tmp_path / "neg.csv", [0, 1, 2, 0, 1, -1])
@@ -116,6 +129,7 @@ class TestUsageErrors:
         write_labels(tmp_path / "ok.csv", [0, 1, 2, 0, 1, 2])
         write_emb(tmp_path / "soft2.emb", np.full((6, 2), 0.5))
         _checkpoint(tmp_path / "dim4.ckpt", in_dim=4)
+        _checkpoint(tmp_path / "t.ckpt")
         code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path, data=toy_data)
                                            for a in argv))
         assert code == 1 and out == ""

@@ -34,10 +34,15 @@ def col(rows, name):
 
 class TestRunConfig:
     def test_validation_names_key(self):
-        for kw, key in ((dict(ipc=0), "ipc"), (dict(iters=0), "iters"),
-                        (dict(lr=-0.1), "lr"), (dict(reduction="x"), "reduction"),
-                        (dict(temperature=0.0), "temperature"),
-                        (dict(init_std=-1.0), "init_std")):
+        cases = [(dict(ipc=0), "ipc"), (dict(iters=0), "iters"),
+                 (dict(lr=-0.1), "lr"), (dict(reduction="x"), "reduction"),
+                 (dict(temperature=0.0), "temperature"),
+                 (dict(init_std=-1.0), "init_std")]
+        # NaN and inf pass every range check, so finiteness is a check of its own
+        cases += [({key: value}, key)
+                  for key in ("lr", "lambda_bn", "r_c", "r_e", "init_std", "temperature")
+                  for value in (float("nan"), float("inf"))]
+        for kw, key in cases:
             with pytest.raises(ConfigError, match=key):
                 RunConfig(**kw)
 

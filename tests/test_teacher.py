@@ -285,6 +285,22 @@ def _oracle_forward(model, x):
     return acts
 
 
+def _oracle_input_gradient(model, acts, dlogits, dfeatures):
+    """Textbook backpropagation to the input, one activation at a time: the
+    gradient at the activation below hidden layer l is
+    (g * (1 - a_l^2)) @ W_{l-1}.T, and dfeatures is added to g at the
+    feature layer."""
+    n = acts[0].shape[0]
+    if dlogits is None:
+        dlogits = np.zeros((n, model.n_classes))
+    g = dlogits @ model.weights[-1].T
+    for layer in range(len(model.weights) - 1, 0, -1):
+        if layer == model.feature_layer and dfeatures is not None:
+            g = g + dfeatures
+        g = (g * (1.0 - acts[layer] ** 2)) @ model.weights[layer - 1].T
+    return g
+
+
 def _oracle_softmax(z):
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -328,6 +344,19 @@ class TestInPlaceForwardMatchesOracle:
         model, x = case
         logits = _read_only(teacher_logits(model, x))
         assert np.array_equal(softmax(logits), _oracle_softmax(logits))
+
+    @pytest.mark.parametrize("upstream", ["dlogits", "dfeatures", "both"])
+    def test_input_gradient(self, case, upstream):
+        model, x = case
+        acts = [_read_only(a) for a in forward_activations(model, x)]  # writes raise
+        n = x.shape[0]
+        kw = {}
+        if upstream in ("dlogits", "both"):
+            kw["dlogits"] = rng_normal(Rng(31), n, model.n_classes)
+        if upstream in ("dfeatures", "both"):
+            kw["dfeatures"] = rng_normal(Rng(32), n, model.feature_dim)
+        want = _oracle_input_gradient(model, acts, kw.get("dlogits"), kw.get("dfeatures"))
+        assert np.array_equal(input_gradient(model, acts, **kw), want)
 
     def test_read_only_input_is_unchanged(self, case):
         model, x = case
