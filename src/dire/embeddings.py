@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, check_number
 from .matrix import as_matrix, Rng
 
 
@@ -50,8 +50,7 @@ class EmbeddingSet:
         without replacement. cap=None returns self unchanged."""
         if cap is None:
             return self
-        if cap < 1:
-            raise ParameterError(f"subsample: cap must be >= 1, got {cap}")
+        check_number(cap, "cap", 1, integer=True, where="subsample: ")
         out = {}
         for c in self.classes():
             m = self.by_class[c]

@@ -263,7 +263,7 @@ def load_config(path) -> RunConfig:
     ConfigError naming the offending key."""
     try:
         raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an int past str's digit limit
         raise ConfigError(f"{path}: malformed JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top-level JSON value must be an object")

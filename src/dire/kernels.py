@@ -44,7 +44,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, ParameterError
+from .errors import DimensionError, NumericalError, ParameterError, check_number
 from .matrix import as_matrix, Rng, rng_normal
 
 COSINE_EPS = 1e-12
@@ -287,8 +287,7 @@ def bench_kernels(shapes, reps: int = 5, kernels=("cosine", "euclidean"),
     Both variants run on identical inputs; the report records their maximum
     absolute deviation as a correctness gate alongside the speedup.
     """
-    if reps < 3:
-        raise ParameterError(f"bench_kernels: need reps >= 3, got {reps}")
+    check_number(reps, "reps", 3, integer=True, where="bench_kernels: ")
     reports = []
     for idx, (n, m, d) in enumerate(shapes):
         rng = Rng(seed).split(idx)

@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .embeddings import EmbeddingSet
-from .errors import ParameterError
+from .errors import ParameterError, check_number
 from .kernels import _right_cols, _root, _sq_dist_rows
 from .matrix import as_matrix, unit_rows
 
@@ -64,9 +64,8 @@ class DireWeights:
     include_diagonal_cd: bool = True
 
     def __post_init__(self):
-        for name, v in (("r_c", self.r_c), ("r_e", self.r_e)):
-            if not np.isfinite(v) or v < 0:
-                raise ParameterError(f"DireWeights: {name} must be finite and >= 0, got {v}")
+        check_number(self.r_c, "r_c", 0, where="DireWeights: ")
+        check_number(self.r_e, "r_e", 0, where="DireWeights: ")
         if self.reduction not in ("sum", "mean"):
             raise ParameterError(
                 f"DireWeights: reduction must be 'sum' or 'mean', got {self.reduction!r}")
@@ -244,8 +243,7 @@ def finite_diff_check(loss_fn, e, h: float = 1e-5) -> float:
     """Max relative disagreement between a loss's analytic gradient and
     central differences; `loss_fn` maps a matrix to (value, gradient).
     Denominator per coordinate is max(|analytic|, |numeric|, 1e-8)."""
-    if h <= 0:
-        raise ParameterError(f"finite_diff_check: h must be > 0, got {h}")
+    check_number(h, "h", 0, strict=True, where="finite_diff_check: ")
     e = as_matrix(e, "E")
     _, analytic = loss_fn(e)
     numeric = np.zeros_like(e)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, check_number
 
 UNIT_ROW_FLOOR = 1e-12
 
@@ -35,6 +35,7 @@ class Rng:
     """
 
     def __init__(self, seed: int, _key: tuple = ()):
+        check_number(seed, "seed", 0, integer=True, where="Rng: ")
         self.seed = int(seed)
         self._key = tuple(int(k) for k in _key)
         ss = np.random.SeedSequence(self.seed, spawn_key=self._key)
@@ -53,8 +54,7 @@ def rng_normal(rng: Rng, rows: int, cols: int, mean: float = 0.0,
     """rows x cols matrix of i.i.d. N(mean, std^2) draws from `rng`."""
     if rows < 1 or cols < 1:
         raise DimensionError(f"rng_normal: need rows, cols >= 1, got {rows}x{cols}")
-    if std < 0:
-        raise ParameterError(f"rng_normal: std must be >= 0, got {std}")
+    check_number(std, "std", 0, where="rng_normal: ")
     out = rng.generator.normal(loc=mean, scale=std, size=(rows, cols))
     return np.ascontiguousarray(out, dtype=np.float64)
 

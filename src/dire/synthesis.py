@@ -18,13 +18,13 @@ terms, as the `Objective` call returned them.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embeddings import EmbeddingSet
-from .errors import ConfigError, DimensionError, NumericalError, ParameterError
+from .errors import (ConfigError, DimensionError, NumericalError, ParameterError,
+                     check_number)
 from .losses import ALL_COMPONENTS, DireWeights, RealSide, batched_dire_loss
 from .matrix import Rng, rng_normal
 from .teacher import (LabeledDataset, TeacherModel, _cross_entropy_and_dlogits,
@@ -49,32 +49,19 @@ class RunConfig:
     temperature: float = 1.0
 
     def __post_init__(self):
-        if self.ipc < 1:
-            raise ConfigError(f"ipc must be >= 1, got {self.ipc}")
-        if self.iters < 1:
-            raise ConfigError(f"iters must be >= 1, got {self.iters}")
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
-        if self.lambda_bn < 0:
-            raise ConfigError(f"lambda_bn must be >= 0, got {self.lambda_bn}")
-        if self.r_c < 0 or self.r_e < 0:
-            raise ConfigError(f"r_c and r_e must be >= 0, got {self.r_c}, {self.r_e}")
+        for key, low in (("ipc", 1), ("iters", 1), ("seed", 0)):
+            check_number(getattr(self, key), key, low, integer=True, error=ConfigError)
+        for key in ("lr", "lambda_bn", "r_c", "r_e", "init_std"):
+            check_number(getattr(self, key), key, 0, error=ConfigError)
+        check_number(self.temperature, "temperature", 0, strict=True, error=ConfigError)
+        if self.real_cap is not None:
+            check_number(self.real_cap, "real_cap", 1, integer=True, error=ConfigError)
         if self.reduction not in ("sum", "mean"):
             raise ConfigError(f"reduction must be 'sum' or 'mean', got {self.reduction!r}")
         self.components = tuple(self.components)
         for comp in self.components:
             if comp not in ALL_COMPONENTS:
                 raise ConfigError(f"components: unknown component {comp!r}")
-        if self.real_cap is not None and self.real_cap < 1:
-            raise ConfigError(f"real_cap must be >= 1 or null, got {self.real_cap}")
-        if self.init_std < 0:
-            raise ConfigError(f"init_std must be >= 0, got {self.init_std}")
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-        for key in ("lr", "lambda_bn", "r_c", "r_e", "init_std", "temperature"):
-            value = getattr(self, key)
-            if not value < math.inf:  # also false for NaN; -inf failed above
-                raise ConfigError(f"{key} must be finite, got {value}")
 
     def dire_weights(self) -> DireWeights:
         return DireWeights(r_c=self.r_c, r_e=self.r_e, reduction=self.reduction,
@@ -88,23 +75,17 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         """Build from parsed JSON, rejecting unknown keys and mistyped values
-        with a ConfigError that names the key."""
-        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-        unknown = set(raw) - set(defaults)
+        with a ConfigError that names the key. Numbers and the reduction are
+        typed by __post_init__'s checks."""
+        unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
-        for key, value in raw.items():
-            kind = type(defaults[key])
-            if key == "components":
-                ok = isinstance(value, list) and all(isinstance(c, str) for c in value)
-            elif kind is bool or isinstance(value, bool):  # bools are not numbers
-                ok = kind is bool and isinstance(value, bool)
-            else:
-                ok = ((key == "real_cap" and value is None)
-                      or isinstance(value, (int, float) if kind is float else kind))
-            if not ok:
-                want = "a list of strings" if key == "components" else kind.__name__
-                raise ConfigError(f"{key} must be {want}, got {value!r}")
+        comps = raw.get("components", [])
+        if not (isinstance(comps, list) and all(isinstance(c, str) for c in comps)):
+            raise ConfigError(f"components must be a list of strings, got {comps!r}")
+        if not isinstance(raw.get("include_diagonal_cd", True), bool):
+            raise ConfigError(
+                f"include_diagonal_cd must be bool, got {raw['include_diagonal_cd']!r}")
         return cls(**raw)
 
 

@@ -27,12 +27,11 @@ soft-label entries moved, by at most 2.8e-14 relative).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, TrainingError
+from .errors import DimensionError, ParameterError, TrainingError, check_number
 from .matrix import Rng, as_matrix, rng_normal
 
 # rows per forward block: inputs of at most this many rows take one GEMM per
@@ -154,19 +153,13 @@ def _softmax_in_place(z: np.ndarray) -> np.ndarray:
 def mixture_split(n_classes: int, dim: int, n_per_class: int, spread: float):
     """Check gen_mixture's parameters; returns the (train, test) rows per
     class, an 80/20 split."""
-    if n_classes < 2:
-        raise ParameterError(f"gen_mixture: need n_classes >= 2, got {n_classes}")
-    if dim < 2:
-        raise ParameterError(f"gen_mixture: need dim >= 2, got {dim}")
+    check_number(n_classes, "n_classes", 2, integer=True, where="gen_mixture: ")
+    check_number(dim, "dim", 2, integer=True, where="gen_mixture: ")
     if n_classes > 2 * dim:
         raise ParameterError(
             f"gen_mixture: frame supports at most 2*dim={2 * dim} classes, got {n_classes}")
-    if n_per_class < 10:
-        raise ParameterError(f"gen_mixture: need n_per_class >= 10, got {n_per_class}")
-    if spread < 0:
-        raise ParameterError(f"gen_mixture: spread must be >= 0, got {spread}")
-    if not spread < math.inf:  # also false for NaN
-        raise ParameterError(f"gen_mixture: spread must be finite, got {spread}")
+    check_number(n_per_class, "n_per_class", 10, integer=True, where="gen_mixture: ")
+    check_number(spread, "spread", 0, where="gen_mixture: ")
     n_train = int(n_per_class * 0.8)
     return n_train, n_per_class - n_train
 
@@ -335,14 +328,9 @@ def check_sgd_options(epochs: int, lr: float, batch_size: int = 1) -> None:
     """The rules every SGD run's options obey, checked by `_sgd_train` and,
     before any other work, by callers that train last, like `pipeline.ablate`
     (which leaves batch_size at the smallest valid value)."""
-    if epochs < 0:
-        raise ParameterError(f"training: need epochs >= 0, got {epochs}")
-    if batch_size < 1:
-        raise ParameterError(f"training: batch_size must be >= 1, got {batch_size}")
-    if lr < 0:
-        raise ParameterError(f"training: lr must be >= 0, got {lr}")
-    if not lr < math.inf:  # also false for NaN
-        raise ParameterError(f"training: lr must be finite, got {lr}")
+    check_number(epochs, "epochs", 0, integer=True, where="training: ")
+    check_number(batch_size, "batch_size", 1, integer=True, where="training: ")
+    check_number(lr, "lr", 0, where="training: ")
 
 
 def _sgd_train(points, targets, hidden_sizes, n_classes, epochs, lr, seed,
@@ -393,8 +381,7 @@ def squeeze_train(train: LabeledDataset, hidden_sizes=(32,), epochs: int = 30,
     mean and population variance of the feature layer; synthesis matches
     batch statistics against these.
     """
-    if epochs < 1:
-        raise ParameterError(f"squeeze_train: need epochs >= 1, got {epochs}")
+    check_number(epochs, "epochs", 1, integer=True, where="squeeze_train: ")
     model = _sgd_train(train.points, train.labels, hidden_sizes, train.n_classes,
                        epochs, lr, seed, batch_size)
     feats = extract_features(model, train.points)
@@ -407,10 +394,7 @@ def squeeze_train(train: LabeledDataset, hidden_sizes=(32,), epochs: int = 30,
 
 def relabel(model: TeacherModel, synthetic, temperature: float = 1.0) -> SoftLabels:
     """Soft labels = softmax(teacher logits / temperature)."""
-    if temperature <= 0:
-        raise ParameterError(f"relabel: temperature must be > 0, got {temperature}")
-    if not temperature < math.inf:  # also false for NaN
-        raise ParameterError(f"relabel: temperature must be finite, got {temperature}")
+    check_number(temperature, "temperature", 0, strict=True, where="relabel: ")
     points = getattr(synthetic, "points", synthetic)
     logits = teacher_logits(model, points)
     logits /= temperature

@@ -183,6 +183,63 @@ class TestUsageErrors:
         assert str(nan_path) in err and "non-finite" in err
 
 
+HUGE = "1" + "0" * 400  # an integer beyond int64 and float range
+
+
+class TestNumericOptions:
+    """Every numeric option obeys one rule, checked before the stage's work
+    fails on it: a bad value is one `dire: error:` line naming the option."""
+
+    @pytest.fixture
+    def files(self, tmp_path, toy_data):
+        write_labels(tmp_path / "ok.csv", [0, 1, 2, 0, 1, 2])
+        _checkpoint(tmp_path / "t.ckpt")
+        (tmp_path / "huge.json").write_text('{"lr": %s}' % HUGE)
+        return dict(tmp=tmp_path, data=toy_data)
+
+    def _one_line_error(self, capsys, files, argv):
+        code, out, err = run_cli(capsys, *(a.format(**files) for a in argv))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.count("dire: error:") == 1
+        return err
+
+    @pytest.mark.parametrize("argv", [
+        ("squeeze", "--data", "{data}", "--seed", "-1", "--out", "{tmp}/t2.ckpt"),
+        ("gen-data", "--classes", "3", "--dim", "6", "--per-class", "10", "--seed", "-1",
+         "--out", "{tmp}/g"),
+        ("recover", "--teacher", "{tmp}/t.ckpt", "--data", "{data}", "--iters", "2",
+         "--seed", "-1", "--out", "{tmp}/r"),
+        ("evaluate", "--points", "{tmp}/p.emb", "--labels", "{tmp}/ok.csv",
+         "--data", "{data}", "--epochs", "1", "--seed", "-1"),
+        ("bench", "--shapes", "4x4x4", "--reps", "3", "--seed", "-1"),
+        ("sweep", "--seeds", "-1", "--out", "{tmp}/s"),
+    ], ids=["squeeze", "gen-data", "recover", "evaluate", "bench", "sweep"])
+    def test_negative_seed(self, capsys, files, argv):
+        assert "seed must be >= 0, got -1" in self._one_line_error(capsys, files, argv)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("recover", "--teacher", "{tmp}/t.ckpt", "--data", "{data}", "--iters", "2",
+          "--config", "{tmp}/huge.json", "--out", "{tmp}/r"), f"lr must be finite, got {HUGE}"),
+        (("recover", "--teacher", "{tmp}/t.ckpt", "--data", "{data}", "--iters", "2",
+          "--ipc", HUGE, "--out", "{tmp}/r"), "ipc must be <= 9223372036854775807"),
+        (("gen-data", "--classes", "3", "--dim", "6", "--per-class", HUGE,
+          "--out", "{tmp}/g"), "n_per_class must be <= 9223372036854775807"),
+    ], ids=["recover-config-lr", "recover-ipc", "gen-data-per-class"])
+    def test_integer_beyond_range(self, capsys, files, argv, message):
+        assert message in self._one_line_error(capsys, files, argv)
+
+    def test_negative_infinity_needs_the_equals_form(self, capsys, files):
+        # argparse takes "-inf" for an option name, so only --lr=-inf reaches
+        # the range check
+        argv = ("squeeze", "--data", "{data}", "--out", "{tmp}/t2.ckpt")
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(**files) for a in argv] + ["--lr", "-inf"])
+        assert exc.value.code == 2
+        assert "--lr: expected one argument" in capsys.readouterr().err
+        err = self._one_line_error(capsys, files, argv + ("--lr=-inf",))
+        assert err == "dire: error: training: lr must be >= 0, got -inf\n"
+
+
 class TestEvaluateCommand:
     def test_hard_labels_of_a_class_missing_from_the_test_split(self, capsys, tmp_path,
                                                                 toy_data):

@@ -333,6 +333,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="lr"):
             load_config(path)
 
+    def test_integer_past_the_digit_limit_rejected(self, tmp_path):
+        # json refuses to parse an int of more than 4300 digits
+        path = tmp_path / "cfg.json"
+        path.write_text('{"lr": 1%s}' % ("0" * 5000))
+        with pytest.raises(ConfigError, match="malformed JSON"):
+            load_config(path)
+
     def test_unknown_key_rejected(self, tmp_path):
         # an old file that still sets the removed optimizer fails by name
         path = tmp_path / "cfg.json"

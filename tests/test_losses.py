@@ -24,6 +24,11 @@ class TestDireWeights:
         with pytest.raises(ParameterError):
             DireWeights(reduction="max")
 
+    @pytest.mark.parametrize("key", ["r_c", "r_e"])
+    def test_int_beyond_float_range_rejected(self, key):
+        with pytest.raises(ParameterError, match=f"^DireWeights: {key} must be finite"):
+            DireWeights(**{key: 10**400})
+
 
 class TestCdLoss:
     def test_single_point_sum(self):
@@ -230,6 +235,11 @@ class TestFiniteDiffHarness:
     def test_h_must_be_positive(self):
         with pytest.raises(ParameterError):
             finite_diff_check(lambda m: (0.0, np.zeros_like(m)), np.eye(2), h=0.0)
+
+    @pytest.mark.parametrize("h", [float("nan"), float("inf")])
+    def test_h_must_be_finite(self, h):
+        with pytest.raises(ParameterError, match="^finite_diff_check: h must be finite"):
+            finite_diff_check(lambda m: (0.0, np.zeros_like(m)), np.eye(2), h=h)
 
 
 class TestOrthogonalityPressure:

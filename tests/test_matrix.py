@@ -20,6 +20,11 @@ class TestRng:
         assert not np.array_equal(a, b)
         assert np.array_equal(a, rng_normal(Rng(11).split(0), 3, 3))
 
+    @pytest.mark.parametrize("seed", [-1, 2**63, 1.5, True])
+    def test_seed_must_be_int64_and_non_negative(self, seed):
+        with pytest.raises(ParameterError, match="^Rng: seed must be "):
+            Rng(seed)
+
     def test_sequential_draws_advance_state(self):
         r = Rng(3)
         assert not np.array_equal(rng_normal(r, 2, 2), rng_normal(r, 2, 2))
@@ -44,6 +49,12 @@ class TestRngNormal:
     def test_negative_std_rejected(self):
         with pytest.raises(ParameterError):
             rng_normal(Rng(0), 2, 2, std=-1.0)
+
+    @pytest.mark.parametrize("std", [float("nan"), float("inf"), 10**400],
+                             ids=["nan", "inf", "huge-int"])
+    def test_non_finite_std_rejected(self, std):
+        with pytest.raises(ParameterError, match="^rng_normal: std must be finite"):
+            rng_normal(Rng(0), 2, 2, std=std)
 
 
 class TestRowNormalize:

@@ -407,6 +407,12 @@ class TestEmbeddingSet:
         assert sub1[1].shape == (5, 3)  # below cap, untouched
         assert np.array_equal(sub1[0], sub2[0])
 
+    @pytest.mark.parametrize("cap", [2.5, float("nan")])
+    def test_subsample_cap_must_be_an_int(self, cap):
+        es = EmbeddingSet({0: rng_normal(Rng(1), 4, 3)})
+        with pytest.raises(ParameterError, match="^subsample: cap must be "):
+            es.subsample(cap, Rng(7))
+
     def test_mixed_dims_rejected(self):
         with pytest.raises(DimensionError):
             EmbeddingSet({0: np.eye(2), 1: np.eye(3)})

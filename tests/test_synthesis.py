@@ -46,6 +46,13 @@ class TestRunConfig:
             with pytest.raises(ConfigError, match=key):
                 RunConfig(**kw)
 
+    @pytest.mark.parametrize("key", ["lr", "lambda_bn", "r_c", "r_e", "init_std",
+                                     "temperature", "ipc", "iters", "real_cap", "seed"])
+    def test_from_dict_rejects_int_beyond_range_naming_key(self, key):
+        # JSON integers of any size reach the float fields too
+        with pytest.raises(ConfigError, match=f"^{key} must be "):
+            RunConfig.from_dict({key: 10**400})
+
     def test_from_dict_rejects_unknown_key(self):
         # "optimizer" and "momentum" were fields once; they now fail by name
         for key in ("learning_rate", "optimizer", "momentum"):

@@ -31,6 +31,11 @@ class TestGenMixture:
         m1 = train.points[train.labels == 1][0]
         assert np.linalg.norm(m0 - m1) >= np.sqrt(2) - 1e-9
 
+    @pytest.mark.parametrize("n_per_class", [10**400, 12.5], ids=["huge-int", "float"])
+    def test_rows_per_class_must_be_an_int64(self, n_per_class):
+        with pytest.raises(ParameterError, match="^gen_mixture: n_per_class must be "):
+            gen_mixture(3, 4, n_per_class, 0.2, seed=1)
+
     def test_split_sizes(self):
         train, test = gen_mixture(3, 5, 50, 0.1, seed=0)
         assert len(train) == 3 * 40 and len(test) == 3 * 10
